@@ -2,8 +2,8 @@
 
 Leaves of a deterministic decomposable circuit carry beta-distributed
 random variables (distributions over probabilities); the library computes
-the distribution of a conditioned query by propagating means and
-covariances through the circuit in a single sweep, alongside three simpler
+the distribution of a conditioned query from the circuit's means and
+gradients (one forward and one reverse pass), alongside three simpler
 baselines (point probabilities, subjective-logic opinions, and
 independence-assuming moment matching) and a Monte Carlo oracle.
 """
@@ -14,7 +14,7 @@ from .betacalc import (BetaLabel, Moments, Opinion, from_opinion, mm_division,
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable, NodeKind,
                       format_nnf, parse_nnf, set_condition, validate)
 from .cpb import (LeafCovariance, QueryResult, ShadowedCircuit, eval_cov,
-                  eval_cov_streaming, moment_sweep, shadow_circuit)
+                  moment_sweep, shadow_circuit)
 from .learn import Dataset, fit_complete, sample_observations
 from .mc import MCResult, mc_eval, mc_strength
 from .semirings import (InconsistentEvidenceError, SemiringSpec,
@@ -28,7 +28,7 @@ __all__ = [
     "Circuit", "CircuitError", "CircuitNode", "LabelTable", "NodeKind",
     "format_nnf", "parse_nnf", "set_condition", "validate",
     "LeafCovariance", "QueryResult", "ShadowedCircuit", "eval_cov",
-    "eval_cov_streaming", "moment_sweep", "shadow_circuit",
+    "moment_sweep", "shadow_circuit",
     "Dataset", "fit_complete", "sample_observations",
     "MCResult", "mc_eval", "mc_strength",
     "InconsistentEvidenceError", "SemiringSpec", "conditioned_eval",

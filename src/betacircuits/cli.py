@@ -3,8 +3,8 @@
 ``betacircuits infer`` answers one conditioned query on an NNF circuit and
 prints ``mean variance alpha_pos alpha_neg``; ``betacircuits experiment``
 runs a full calibration experiment from a JSON config and writes the
-metric CSVs.  Exit codes: 0 success, 2 validation/usage failure, 3
-inconsistent evidence.
+metric CSVs.  Exit codes: 0 success, 2 validation/usage failure or a
+numerical (float underflow/overflow) failure, 3 inconsistent evidence.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .betacalc import BetaLabel, Moments
 from .circuit import (CircuitError, parse_condition_file, parse_label_table,
                       parse_nnf, set_condition, validate)
 from .cpb import eval_cov, parse_leaf_cov, shadow_circuit
-from .harness import ExperimentConfig, run_experiment
 from .mc import mc_eval
 from .semirings import (InconsistentEvidenceError, conditioned_eval,
                         mm_semiring, prob_semiring, sl_semiring)
@@ -111,6 +110,8 @@ def _alpha(label: BetaLabel, positive: bool) -> str:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    # Imported here so that ``infer`` does not pay for loading scipy.
+    from .harness import ExperimentConfig, run_experiment
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     report = run_experiment(cfg)
     report.write_csvs(args.out)
@@ -128,6 +129,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INCONSISTENT
     except (CircuitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        # Float underflow or overflow, e.g. on circuits too deep for the
+        # evaluators' plain float arithmetic.
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -2,57 +2,55 @@
 
 This is the library's main inference engine.  Instead of propagating each
 node's uncertainty in isolation (as the moment-matching baseline does), it
-tracks the full covariance structure between circuit nodes, which makes the
-deterministic-OR sum exact in both mean and variance and keeps the final
-conditioning division aware of the correlation between its numerator and
-denominator.
+accounts for the full covariance structure between circuit nodes, which
+makes the deterministic-OR sum exact in both mean and variance and keeps
+the final conditioning division aware of the correlation between its
+numerator and denominator.
 
-The computation has two phases:
+The conditional is X/Y, where Y is the circuit root (evidence) and X is
+the root with the negated-query leaves pinned to 0 (query and evidence).
+Each root is a multilinear polynomial in the leaf parameters theta.  Its
+first-order (delta-method) moments are
 
-1. *Shadowing* (``shadow_circuit``): the leaves carrying the negated query
-   literal, together with all their ancestors up to the root, are
-   duplicated into "shadow" nodes.  The shadow copy of a negated-query
-   leaf is a stub pinned to 0, so the shadow root computes the joint of
-   query and evidence while the untouched base root computes the evidence.
-   Non-ancestor nodes are shared between the two chains, which is exactly
-   what lets the evaluator measure the covariance between numerator and
-   denominator.
+    E[X]      = X(E[theta])
+    cov[X, Y] = g_X' S g_Y,
 
-2. *Covariance sweep* (``eval_cov``): one topological pass computes, for
-   every node n, its mean E[n] and its covariance row cov[n, z] against
-   every other node z:
+where g_X is the gradient of X with respect to theta at the means and S
+is the leaf covariance: the label variances on the diagonal and the
+explicit cross-variable entries off it.  ``eval_cov`` takes each gradient
+in one forward pass (node means and per-gate child weights) and one
+reverse pass (adjoints), so it costs O(n) time and memory
+(Darwiche, "A differential approach to inference in Bayesian networks",
+JACM 2003).  The gate rules behind the weights are:
 
-   * OR gates (children mutually exclusive, so the sum is literal):
-       E[n]      = sum_c E[c]
-       cov[n,z]  = sum_c cov[c,z]
-       var[n]    = sum_c sum_c' cov[c,c']
-   * AND gates (first-order expansion of the product around the means,
-     with weights w_c = prod_{c' != c} E[c'], i.e. E[n]/E[c] away from
-     zero means):
-       E[n]      = prod_c E[c]
-       cov[n,z]  = sum_c w_c cov[c,z]
-       var[n]    = sum_c sum_c' w_c w_c' cov[c,c']
+* OR gates (children mutually exclusive, so the sum is literal):
+  E[n] = sum_c E[c], with weight dn/dc = 1.
+* AND gates (first-order expansion of the product around the means):
+  E[n] = prod_c E[c], with weight w_c = prod_{c' != c} E[c'], i.e.
+  E[n]/E[c] away from zero means.
 
-     The second-order term var[c] var[c'] + cov[c,c']^2 of each product
-     (Bohrnstedt & Goldberger 1969) is omitted.  Adding it to the AND
-     diagonals alone breaks the law of total probability that the OR rule
-     makes exact (by 2 var[X] var[Y] on (Y and X) or (Y and not X)), and
-     adding the matching cross terms everywhere moves the burglary
-     posterior variance further from Monte Carlo (0.0505 against 0.0446,
-     where first order gives 0.0471).
+The second-order term var[c] var[c'] + cov[c,c']^2 of each product
+(Bohrnstedt & Goldberger 1969) is omitted.  Adding it to the AND
+diagonals alone breaks the law of total probability that the OR rule
+makes exact (by 2 var[X] var[Y] on (Y and X) or (Y and not X)), and
+adding the matching cross terms everywhere moves the burglary posterior
+variance further from Monte Carlo (0.0505 against 0.0446, where first
+order gives 0.0471).
 
-   Finally, with X the shadow-root value (query and evidence) and Y the
-   base-root value (evidence), the conditional mean is E[X]/E[Y] and the
-   variance is the first-order expansion of X/Y around the means:
+The conditional mean is E[X]/E[Y] and the variance is the first-order
+expansion of X/Y around the means:
 
-       var = var[X]/E[Y]^2 + E[X]^2 var[Y]/E[Y]^4
-             - 2 E[X] cov[X,Y]/E[Y]^3
+    var = var[X]/E[Y]^2 + E[X]^2 var[Y]/E[Y]^4
+          - 2 E[X] cov[X,Y]/E[Y]^3
 
-   clamped to the [0,1]-support bound before beta moment matching.
+clamped to the [0,1]-support bound before beta moment matching.
 
-``eval_cov_streaming`` computes bit-identical results while keeping only
-the covariance rows of *live* nodes (those with unevaluated parents),
-which bounds memory on deep, narrow circuits.
+``shadow_circuit`` and ``moment_sweep`` are the dense reference and the
+introspection API.  Shadowing duplicates the negated-query leaves and
+their ancestors, so one circuit carries both roots; the sweep then
+propagates every node's mean and its covariance row against every other
+node (cov[n,z] = sum_c w_c cov[c,z]), which yields the same moments as
+the gradient form at O(n^2) cost.
 """
 
 from __future__ import annotations
@@ -65,7 +63,8 @@ import numpy as np
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments
-from .circuit import Circuit, CircuitError, LabelTable, NodeKind
+from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable,
+                      NodeKind)
 from .semirings import InconsistentEvidenceError
 
 
@@ -178,15 +177,6 @@ class ShadowedCircuit:
             return ()
         return self.shadow_children[nid]
 
-    def processing_order(self) -> list[int]:
-        """Base nodes in file order, each immediately followed by its shadow."""
-        order: list[int] = []
-        for nid in range(len(self.circuit)):
-            order.append(nid)
-            if nid in self.shadow_of:
-                order.append(self.shadow_of[nid])
-        return order
-
 
 def shadow_circuit(c: Circuit) -> ShadowedCircuit:
     """Duplicate the negated-query leaves and their ancestor closure.
@@ -240,11 +230,10 @@ class QueryResult:
     variance: float
     matched: BetaLabel
     variance_clamped: bool = False
-    peak_live_rows: Optional[int] = None
 
 
-def _leaf_mean(sc: ShadowedCircuit, labels: LabelTable, nid: int) -> float:
-    node = sc.circuit.node(nid)
+def _leaf_mean(c: Circuit, labels: LabelTable, nid: int) -> float:
+    node = c.node(nid)
     if node.kind is NodeKind.TRUE:
         return 1.0
     if node.kind is NodeKind.FALSE:
@@ -254,16 +243,13 @@ def _leaf_mean(sc: ShadowedCircuit, labels: LabelTable, nid: int) -> float:
     return labels.mean_of(node.literal)
 
 
-def _is_stochastic_leaf(sc: ShadowedCircuit, nid: int) -> bool:
-    """True for lambda=1 literal leaves (the only nodes with leaf-level cov)."""
-    if nid >= len(sc.circuit):
-        return False
-    node = sc.circuit.node(nid)
-    return node.kind is NodeKind.LITERAL and node.lam == 1
+def _stochastic_leaves(c: Circuit) -> list[CircuitNode]:
+    """The lambda=1 literal leaves (the only nodes with leaf-level cov)."""
+    return [n for n in c.nodes if n.kind is NodeKind.LITERAL and n.lam == 1]
 
 
 def _gate_weights(kind: NodeKind, child_means: list[float]) -> list[float]:
-    """Per-child row weights: 1 for OR, leave-one-out mean products for AND.
+    """Per-child weights dn/dc: 1 for OR, leave-one-out mean products for AND.
 
     For AND, the leave-one-out product equals E[n]/E[c] whenever E[c] != 0
     and is its algebraic limit otherwise (the zero-mean rule), so no
@@ -281,10 +267,18 @@ def _gate_weights(kind: NodeKind, child_means: list[float]) -> list[float]:
     return [prefix[i] * suffix[i + 1] for i in range(k)]
 
 
+def _gate_mean(kind: NodeKind, child_means: list[float]) -> float:
+    if kind is NodeKind.OR:
+        return math.fsum(child_means)
+    m = 1.0
+    for cm in child_means:
+        m *= cm
+    return m
+
+
 def _conditioned_result(mean_num: float, mean_den: float,
                         var_num: float, var_den: float, cov_nd: float,
-                        base_rate: float, prior_weight: float,
-                        peak_live_rows: Optional[int]) -> QueryResult:
+                        base_rate: float, prior_weight: float) -> QueryResult:
     if mean_den == 0.0:
         raise InconsistentEvidenceError("inconsistent evidence")
     mean = mean_num / mean_den
@@ -301,107 +295,7 @@ def _conditioned_result(mean_num: float, mean_den: float,
         clamped = True
         var = bound
     matched = betacalc.moment_match(Moments(mean, var), base_rate, prior_weight)
-    return QueryResult(mean, var, matched, clamped, peak_live_rows)
-
-
-def _gate_kind(sc: ShadowedCircuit, nid: int,
-               base_of: dict[int, int]) -> NodeKind:
-    base = nid if nid < len(sc.circuit) else base_of[nid]
-    return sc.circuit.node(base).kind
-
-
-def _variable_groups(sc: ShadowedCircuit, leaf_cov: LeafCovariance) -> dict[int, int]:
-    """Union-find over variables linked by cross-covariance entries.
-
-    Two leaves can only be correlated when their variables fall in the same
-    group (same variable, complements, or an explicit cross entry).  The
-    evaluators initialize all leaves of a group together, which guarantees
-    that a gate's frozen zero covariance against any later-initialized leaf
-    is in fact the true value.
-    """
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (vi, vj) in leaf_cov.cross_entries:
-        ri, rj = find(vi), find(vj)
-        if ri != rj:
-            parent[ri] = rj
-    for node in sc.circuit.nodes:
-        if node.kind is NodeKind.LITERAL:
-            find(node.var)
-    return {v: find(v) for v in list(parent)}
-
-
-def _schedule(sc: ShadowedCircuit,
-              leaf_cov: LeafCovariance) -> list[list[int]]:
-    """Deterministic evaluation order shared by both covariance sweeps.
-
-    Children-before-parents batches: a batch is either one gate/stub or a
-    whole leaf correlation group (initialized atomically so every frozen
-    zero cross-covariance against already-evaluated gates is truly zero).
-    Among ready nodes the scheduler greedily picks one whose evaluation
-    lets the streaming evaluator free the most covariance rows, breaking
-    ties by lowest id.  The choice is purely structural, so the order is
-    identical no matter which evaluator consumes it -- which is what makes
-    the full-matrix and streaming outputs bitwise equal.
-    """
-    all_ids = list(range(len(sc.circuit))) + sorted(sc.shadow_of.values())
-    pinned = {sc.base_root, sc.shadow_root}
-
-    parents_map: dict[int, list[int]] = {i: [] for i in all_ids}
-    remaining_parents = [0] * sc.n_total
-    unmet = [0] * sc.n_total
-    for nid in all_ids:
-        kids = set(sc.children_of(nid))
-        unmet[nid] = len(kids)
-        for ch in kids:
-            remaining_parents[ch] += 1
-            parents_map[ch].append(nid)
-
-    groups = _variable_groups(sc, leaf_cov)
-    group_leaves: dict[int, list[int]] = {}
-    for nid in range(len(sc.circuit)):
-        node = sc.circuit.node(nid)
-        if node.kind is NodeKind.LITERAL:
-            group_leaves.setdefault(groups[node.var], []).append(nid)
-
-    ready = {nid for nid in all_ids if unmet[nid] == 0}
-    order: list[list[int]] = []
-
-    def frees(nid: int) -> int:
-        return sum(1 for ch in set(sc.children_of(nid))
-                   if remaining_parents[ch] == 1 and ch not in pinned)
-
-    def mark_done(nid: int) -> None:
-        for parent in parents_map[nid]:
-            unmet[parent] -= 1
-            if unmet[parent] == 0:
-                ready.add(parent)
-
-    while ready:
-        nid = max(ready, key=lambda i: (frees(i), -i))
-        node = sc.circuit.node(nid) if nid < len(sc.circuit) else None
-        if node is not None and node.kind is NodeKind.LITERAL:
-            batch = [l for l in group_leaves[groups[node.var]]
-                     if l in ready or l == nid]
-            for leaf in batch:
-                ready.discard(leaf)
-            order.append(batch)
-            for leaf in batch:
-                mark_done(leaf)
-        else:
-            ready.discard(nid)
-            order.append([nid])
-            for ch in set(sc.children_of(nid)):
-                remaining_parents[ch] -= 1
-            mark_done(nid)
-    return order
+    return QueryResult(mean, var, matched, clamped)
 
 
 def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
@@ -409,162 +303,123 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Means and full covariance matrix over all base and shadow nodes.
 
-    Row/column i of the covariance matrix belongs to node id i (shadow ids
-    start at ``len(sc.circuit)``).  ``leaf_cov`` defaults to independent
-    leaves (block-diagonal pattern with cov[v, not v] = -var[v] inside
-    each variable's block).
+    The dense reference for ``eval_cov``, and the way to inspect the
+    covariance of any two nodes.  Row/column i of the covariance matrix
+    belongs to node id i (shadow ids start at ``len(sc.circuit)``).
+    ``leaf_cov`` defaults to independent leaves (block-diagonal pattern
+    with cov[v, not v] = -var[v] inside each variable's block).  All leaf
+    covariances are filled in first; then the base gates and the shadow
+    gates are swept in id order, which is topological for both.  Costs
+    O(n^2) memory and time.
     """
     if leaf_cov is None:
         leaf_cov = LeafCovariance()
+    c = sc.circuit
     n = sc.n_total
-    base_of = {sh: b for b, sh in sc.shadow_of.items()}
     means = np.zeros(n)
     cov = np.zeros((n, n))
-    literal_at: dict[int, int] = {}   # stochastic leaf id -> signed literal
 
-    for batch in _schedule(sc, leaf_cov):
-        for nid in batch:
-            if nid in sc.stub_ids:
-                continue  # pinned to mean 0, zero covariance row
-            node = sc.circuit.node(nid) if nid < len(sc.circuit) else None
-            if node is not None and not node.children:
-                means[nid] = _leaf_mean(sc, labels, nid)
-                if _is_stochastic_leaf(sc, nid):
-                    lit = node.literal
-                    row = np.zeros(n)
-                    for other, olit in literal_at.items():
-                        value = leaf_cov.lookup(labels, lit, olit)
-                        row[other] = value
-                        cov[other, nid] = value
-                    row[nid] = labels.variance_of(lit)
-                    cov[nid, :] = row
-                    literal_at[nid] = lit
-                continue
-            children = sc.children_of(nid)
-            kind = _gate_kind(sc, nid, base_of)
-            child_means = [float(means[c]) for c in children]
-            weights = _gate_weights(kind, child_means)
-            if kind is NodeKind.OR:
-                means[nid] = math.fsum(child_means)
-            else:
-                m = 1.0
-                for cm in child_means:
-                    m *= cm
-                means[nid] = m
-            row = np.zeros(n)
-            for c, w in zip(children, weights):
-                row += w * cov[c, :]
-            diag = math.fsum(w * row[c] for c, w in zip(children, weights))
-            cov[nid, :] = row
-            cov[:, nid] = row
-            cov[nid, nid] = diag
+    for node in c.nodes:
+        if not node.children:
+            means[node.id] = _leaf_mean(c, labels, node.id)
+    by_var: dict[int, list[CircuitNode]] = {}
+    for leaf in _stochastic_leaves(c):
+        by_var.setdefault(leaf.var, []).append(leaf)
+    for vi, vj in [(v, v) for v in by_var] + list(leaf_cov.cross_entries):
+        for a in by_var.get(vi, ()):
+            for b in by_var.get(vj, ()):
+                cov[a.id, b.id] = cov[b.id, a.id] = leaf_cov.lookup(
+                    labels, a.literal, b.literal)
+
+    # Shadow stubs keep mean 0 and a zero covariance row.
+    gates = [(node.id, node.kind, node.children)
+             for node in c.nodes if node.children]
+    gates += [(sh, c.node(b).kind, sc.shadow_children[sh])
+              for b, sh in sorted(sc.shadow_of.items())
+              if sh not in sc.stub_ids]
+    for nid, kind, children in gates:
+        child_means = [float(means[ch]) for ch in children]
+        weights = _gate_weights(kind, child_means)
+        means[nid] = _gate_mean(kind, child_means)
+        row = np.zeros(n)
+        for ch, w in zip(children, weights):
+            row += w * cov[ch, :]
+        diag = math.fsum(w * row[ch] for ch, w in zip(children, weights))
+        cov[nid, :] = row
+        cov[:, nid] = row
+        cov[nid, nid] = diag
 
     return means, cov
+
+
+def _root_gradient(c: Circuit, labels: LabelTable,
+                   zeroed: frozenset[int]) -> tuple[float, dict[int, float]]:
+    """Root mean and its derivative with respect to each leaf variable.
+
+    One forward pass computes the node means (with the ``zeroed`` leaves
+    pinned to 0) and each gate's per-child weights; one reverse pass
+    accumulates the adjoints d root / d node.  A variable's derivative is
+    the adjoint sum over its positive lambda=1 leaves minus that over its
+    negative ones, since a negative leaf carries 1 - theta.  The zeroed
+    leaves are constants and contribute nothing.
+    """
+    means = [0.0] * len(c)
+    weights: list[list[float]] = [[] for _ in range(len(c))]
+    for node in c.nodes:
+        if not node.children:
+            if node.id not in zeroed:
+                means[node.id] = _leaf_mean(c, labels, node.id)
+            continue
+        child_means = [means[ch] for ch in node.children]
+        weights[node.id] = _gate_weights(node.kind, child_means)
+        means[node.id] = _gate_mean(node.kind, child_means)
+
+    adjoint = [0.0] * len(c)
+    adjoint[c.root] = 1.0
+    for nid in range(c.root, -1, -1):
+        a = adjoint[nid]
+        if a != 0.0:
+            for ch, w in zip(c.node(nid).children, weights[nid]):
+                adjoint[ch] += a * w
+
+    grad: dict[int, float] = {}
+    for leaf in _stochastic_leaves(c):
+        if leaf.id not in zeroed:
+            d = adjoint[leaf.id] if leaf.literal > 0 else -adjoint[leaf.id]
+            grad[leaf.var] = grad.get(leaf.var, 0.0) + d
+    return means[c.root], grad
 
 
 def eval_cov(sc: ShadowedCircuit, labels: LabelTable,
              leaf_cov: Optional[LeafCovariance] = None,
              base_rate: float = betacalc.DEFAULT_BASE_RATE,
              prior_weight: float = betacalc.DEFAULT_PRIOR_WEIGHT) -> QueryResult:
-    """Full-matrix covariance sweep followed by the conditioning division.
+    """Conditioned mean and first-order variance via root gradients.
 
-    ``leaf_cov`` defaults to independent leaves (block-diagonal pattern
-    with cov[v, not v] = -var[v] inside each variable's block).
-    """
-    means, cov = moment_sweep(sc, labels, leaf_cov)
-    num, den = sc.shadow_root, sc.base_root
-    return _conditioned_result(
-        float(means[num]), float(means[den]),
-        float(cov[num, num]), float(cov[den, den]), float(cov[num, den]),
-        base_rate, prior_weight, None)
-
-
-def eval_cov_streaming(sc: ShadowedCircuit, labels: LabelTable,
-                       leaf_cov: Optional[LeafCovariance] = None,
-                       base_rate: float = betacalc.DEFAULT_BASE_RATE,
-                       prior_weight: float = betacalc.DEFAULT_PRIOR_WEIGHT
-                       ) -> QueryResult:
-    """Streaming variant of ``eval_cov`` with row-level memory management.
-
-    Produces bit-identical numbers: both evaluators walk the shared
-    ``_schedule`` order and compute every covariance entry by the same
-    expression in the same child fold order; only storage differs.  A
-    node's covariance row is freed as soon as its last parent has been
-    evaluated (the two conditioning roots stay pinned).  The schedule
-    greedily prefers nodes that free the most rows and pulls leaves in
-    lazily, one variable correlation group at a time, so chains over
-    independent variables keep a depth-independent live set.  The peak
-    number of live rows is reported.
+    Only ``sc.circuit`` is read.  The numerator X is its root with the
+    negated-query leaves (the ones ``shadow_circuit`` stubs) pinned to 0,
+    the denominator Y its root as is.  With g_X and g_Y their gradients
+    over the leaf variables, var[X] = g_X' S g_X, var[Y] = g_Y' S g_Y and
+    cov[X,Y] = g_X' S g_Y, where S holds the label variances on its
+    diagonal and ``leaf_cov``'s cross entries off it (default: independent
+    leaves).  O(n) time and memory.
     """
     if leaf_cov is None:
         leaf_cov = LeafCovariance()
-    n = sc.n_total
-    base_of = {sh: b for b, sh in sc.shadow_of.items()}
-    pinned = {sc.base_root, sc.shadow_root}
+    c = sc.circuit
+    qneg = frozenset(c.literal_leaves(-c.query_literal))
+    mean_den, g_den = _root_gradient(c, labels, frozenset())
+    mean_num, g_num = _root_gradient(c, labels, qneg)
+    variances = {v: labels.variance_of(v) for v in g_den}
 
-    remaining_parents = [0] * n
-    all_ids = list(range(len(sc.circuit))) + sorted(sc.shadow_of.values())
-    for nid in all_ids:
-        for ch in set(sc.children_of(nid)):
-            remaining_parents[ch] += 1
+    def form(ga: dict[int, float], gb: dict[int, float]) -> float:
+        total = math.fsum(s * ga.get(v, 0.0) * gb.get(v, 0.0)
+                          for v, s in variances.items())
+        for (i, j), cij in leaf_cov.cross_entries.items():
+            total += cij * (ga.get(i, 0.0) * gb.get(j, 0.0)
+                            + ga.get(j, 0.0) * gb.get(i, 0.0))
+        return total
 
-    means = [0.0] * n
-    rows: dict[int, np.ndarray] = {}
-    literal_at: dict[int, int] = {}
-    peak = 0
-
-    def init_leaf(nid: int) -> None:
-        means[nid] = _leaf_mean(sc, labels, nid)
-        row = np.zeros(n)
-        if _is_stochastic_leaf(sc, nid):
-            lit = sc.circuit.node(nid).literal
-            for other, olit in literal_at.items():
-                value = leaf_cov.lookup(labels, lit, olit)
-                row[other] = value
-                if other in rows:
-                    rows[other][nid] = value
-            row[nid] = labels.variance_of(lit)
-            literal_at[nid] = lit
-        rows[nid] = row
-
-    def release_children(nid: int) -> None:
-        for ch in set(sc.children_of(nid)):
-            remaining_parents[ch] -= 1
-            if remaining_parents[ch] == 0 and ch not in pinned and ch in rows:
-                del rows[ch]
-
-    for batch in _schedule(sc, leaf_cov):
-        for nid in batch:
-            if nid in sc.stub_ids:
-                means[nid] = 0.0
-                rows[nid] = np.zeros(n)
-            elif nid < len(sc.circuit) and not sc.circuit.node(nid).children:
-                init_leaf(nid)
-            else:
-                children = sc.children_of(nid)
-                kind = _gate_kind(sc, nid, base_of)
-                child_means = [means[c] for c in children]
-                weights = _gate_weights(kind, child_means)
-                if kind is NodeKind.OR:
-                    means[nid] = math.fsum(child_means)
-                else:
-                    m = 1.0
-                    for cm in child_means:
-                        m *= cm
-                    means[nid] = m
-                row = np.zeros(n)
-                for c, w in zip(children, weights):
-                    row += w * rows[c]
-                diag = math.fsum(w * row[c] for c, w in zip(children, weights))
-                row[nid] = diag
-                for live, live_row in rows.items():
-                    live_row[nid] = row[live]
-                rows[nid] = row
-                release_children(nid)
-        peak = max(peak, len(rows))
-
-    num, den = sc.shadow_root, sc.base_root
     return _conditioned_result(
-        means[num], means[den],
-        float(rows[num][num]), float(rows[den][den]), float(rows[num][den]),
-        base_rate, prior_weight, peak)
+        mean_num, mean_den, form(g_num, g_num), form(g_den, g_den),
+        form(g_num, g_den), base_rate, prior_weight)

@@ -302,7 +302,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
                     try:
                         rec = _run_backend(b, staged[q], labels,
                                            true_cond[q], rng)
-                    except (InconsistentEvidenceError, ValueError):
+                    except (InconsistentEvidenceError, ValueError,
+                            ArithmeticError):
                         failures[b] += 1
                         continue
                     rec.golden_strength = golden.get(q)
@@ -339,15 +340,21 @@ def _aggregate(name: str, recs: list[TrialRecord], fails: int,
 
 
 def _coverage(recs: list[TrialRecord], gamma: float) -> float:
-    """Fraction of trials whose central beta interval covers the truth."""
-    hits = 0
-    for r in recs:
-        if not np.isfinite(r.alpha_pos) or not np.isfinite(r.alpha_neg):
-            hits += abs(r.truth - r.mean) < 1e-9
-            continue
-        lo = beta_dist.ppf((1.0 - gamma) / 2.0, r.alpha_pos, r.alpha_neg)
-        hi = beta_dist.ppf((1.0 + gamma) / 2.0, r.alpha_pos, r.alpha_neg)
-        hits += lo <= r.truth <= hi
+    """Fraction of trials whose central beta interval covers the truth.
+
+    Certain labels (infinite alphas) cover only a truth equal to their mean.
+    """
+    truth = np.array([r.truth for r in recs])
+    mean = np.array([r.mean for r in recs])
+    a = np.array([r.alpha_pos for r in recs])
+    b = np.array([r.alpha_neg for r in recs])
+    finite = np.isfinite(a) & np.isfinite(b)
+    hits = int(np.count_nonzero(np.abs(truth - mean)[~finite] < 1e-9))
+    if finite.any():
+        t, a, b = truth[finite], a[finite], b[finite]
+        lo = beta_dist.ppf((1.0 - gamma) / 2.0, a, b)
+        hi = beta_dist.ppf((1.0 + gamma) / 2.0, a, b)
+        hits += int(np.count_nonzero((lo <= t) & (t <= hi)))
     return hits / len(recs)
 
 

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from betacircuits.circuit import format_label_table, format_nnf
+from betacircuits.betacalc import BetaLabel
+from betacircuits.circuit import LabelTable, format_label_table, format_nnf
 from betacircuits.cli import main
 from betacircuits.examples import burglary_circuit, burglary_labels
 
@@ -110,6 +114,25 @@ class TestInfer:
         assert rc == 3
         assert "error:" in err
 
+    def test_underflow_is_a_numerical_error(self, tmp_path, make_block_nnf,
+                                            capsys):
+        # 300 blocks with Beta(5,5) labels: E[root] = 0.5^300, whose fourth
+        # power in cpb's conditioning division underflows to 0.0.
+        k = 300
+        circuit = tmp_path / "blocks.nnf"
+        circuit.write_text(make_block_nnf(k))
+        labels = tmp_path / "blocks.labels"
+        labels.write_text(format_label_table(
+            LabelTable({v: BetaLabel(5, 5) for v in range(1, 3 * k + 1)})))
+        cond = tmp_path / "cond.txt"
+        cond.write_text(f"query 1\nevidence {3 * k} 1\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--evidence", cond,
+                           "--backend", "cpb")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: numerical failure:")
+
     def test_mc_seed_reproducible(self, burglary_files, capsys):
         circuit, labels = burglary_files
         outs = []
@@ -143,3 +166,12 @@ class TestExperiment:
                          "--out", tmp_path / "out")
         assert rc == 2
         assert "error:" in err
+
+
+def test_import_does_not_load_scipy():
+    # ``infer`` never needs scipy; only ``experiment`` (via harness) does.
+    code = "import sys, betacircuits.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

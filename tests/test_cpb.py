@@ -6,12 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from betacircuits.betacalc import BetaLabel
+from betacircuits.betacalc import (DEFAULT_BASE_RATE, DEFAULT_PRIOR_WEIGHT,
+                                   BetaLabel)
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
                                   parse_nnf, set_condition)
 from betacircuits.compile import (Theory, f_and, f_iff, f_not, f_or, f_var,
                                   shannon_compile)
-from betacircuits.cpb import (LeafCovariance, eval_cov, eval_cov_streaming,
+from betacircuits.cpb import (LeafCovariance, _conditioned_result, eval_cov,
                               format_leaf_cov, moment_sweep, parse_leaf_cov,
                               shadow_circuit)
 from betacircuits.examples import burglary_circuit, burglary_labels
@@ -244,16 +245,34 @@ class TestProperties:
             eval_cov(shadow_circuit(dead), LabelTable({1: BetaLabel(2, 2)}))
 
 
-class TestStreaming:
-    def test_bitwise_equal_on_burglary(self):
-        sc = shadow_circuit(staged_burglary())
-        full = eval_cov(sc, burglary_labels())
-        stream = eval_cov_streaming(sc, burglary_labels())
-        assert stream.mean == full.mean
-        assert stream.variance == full.variance
-        assert stream.peak_live_rows == 5
+def dense_reference(sc, labels, leaf_cov=None):
+    """The conditioned result from the full covariance matrix."""
+    means, cov = moment_sweep(sc, labels, leaf_cov)
+    num, den = sc.shadow_root, sc.base_root
+    return _conditioned_result(
+        float(means[num]), float(means[den]), float(cov[num, num]),
+        float(cov[den, den]), float(cov[num, den]),
+        DEFAULT_BASE_RATE, DEFAULT_PRIOR_WEIGHT)
 
-    def test_bitwise_equal_on_random_circuits(self):
+
+def assert_matches_dense(sc, labels, leaf_cov=None):
+    ref = dense_reference(sc, labels, leaf_cov)
+    res = eval_cov(sc, labels, leaf_cov)
+    assert res.mean == ref.mean
+    assert abs(res.variance - ref.variance) <= max(1e-12 * ref.variance,
+                                                   1e-15)
+    return res
+
+
+class TestGradientMatchesDense:
+    """``eval_cov`` (root gradients) against the dense ``moment_sweep``."""
+
+    def test_burglary(self):
+        res = assert_matches_dense(shadow_circuit(staged_burglary()),
+                                   burglary_labels())
+        assert res.variance == pytest.approx(BURGLARY_VAR, abs=1e-12)
+
+    def test_random_circuits(self):
         rng = random.Random(10)
         for _ in range(20):
             theory = random_theory(rng, rng.randint(4, 8))
@@ -265,29 +284,29 @@ class TestStreaming:
             staged = set_condition(c, query=rng.choice(variables))
             sc = shadow_circuit(staged)
             try:
-                full = eval_cov(sc, labels)
+                dense_reference(sc, labels)
             except InconsistentEvidenceError:
+                with pytest.raises(InconsistentEvidenceError):
+                    eval_cov(sc, labels)
                 continue
-            stream = eval_cov_streaming(sc, labels)
-            assert stream.mean == full.mean
-            assert stream.variance == full.variance
+            assert_matches_dense(sc, labels)
 
-    def test_bitwise_equal_with_cross_covariance(self):
+    def test_cross_covariance(self):
         rng = random.Random(11)
         nnf = ("nnf 8 7 3\nL 1\nL 2\nL 3\nL -3\n"
                "A 2 0 1\nA 2 4 2\nA 2 4 3\nO 3 2 5 6\n")
-        c = set_condition(parse_nnf(nnf), query=1)
         labels = random_labels(rng, (1, 2, 3))
         cov = LeafCovariance({(1, 2): 0.005, (2, 3): -0.003})
-        sc = shadow_circuit(c)
-        full = eval_cov(sc, labels, cov)
-        stream = eval_cov_streaming(sc, labels, cov)
-        assert stream.mean == full.mean
-        assert stream.variance == full.variance
+        # Query 1 has no negated leaf (the conditional is 1); query 3 does,
+        # and there the cross entries move the variance.
+        assert_matches_dense(shadow_circuit(
+            set_condition(parse_nnf(nnf), query=1)), labels, cov)
+        sc = shadow_circuit(set_condition(parse_nnf(nnf), query=3))
+        res = assert_matches_dense(sc, labels, cov)
+        assert res.variance != eval_cov(sc, labels).variance
 
-    def test_chain_keeps_constant_live_set(self):
-        # A long conjunction chain AND(...AND(AND(l1, l2), l3)..., lk)
-        # should keep a depth-independent number of live rows.
+    def test_deep_and_chain(self):
+        # AND(...AND(AND(l1, l2), l3)..., l24): 23 nested gates.
         k = 24
         lines = [f"L {i + 1}" for i in range(k)]
         lines.append(f"A 2 0 1")
@@ -296,16 +315,26 @@ class TestStreaming:
         nnf = f"nnf {2 * k - 1} {2 * (k - 1)} {k}\n" + "\n".join(lines) + "\n"
         c = set_condition(parse_nnf(nnf), query=1)
         labels = LabelTable({v: BetaLabel(5, 5) for v in range(1, k + 1)})
-        res = eval_cov_streaming(shadow_circuit(c), labels)
-        assert res.peak_live_rows is not None
-        assert res.peak_live_rows <= 6
+        assert_matches_dense(shadow_circuit(c), labels)
 
-    def test_peak_below_total_on_real_model(self):
+    def test_net3_query(self):
         from betacircuits.examples import net3_model
         model = net3_model()
         c = model.circuit({v: True for v in model.random_evidence_vars})
         staged = set_condition(c, query=model.query_vars[0])
         labels = LabelTable({v: BetaLabel(3, 3) for v in model.prob_vars})
-        sc = shadow_circuit(staged)
-        res = eval_cov_streaming(sc, labels)
-        assert res.peak_live_rows < sc.n_total / 2
+        assert_matches_dense(shadow_circuit(staged), labels)
+
+    def test_block_circuit_1401_nodes(self, make_block_nnf):
+        # Label means >= 0.5 keep every block >= 0.5, so E[root]^4 stays
+        # far above the float underflow threshold.
+        k = 200
+        c = parse_nnf(make_block_nnf(k))
+        assert len(c) == 1401
+        rng = random.Random(12)
+        labels = LabelTable({})
+        for v in range(1, 3 * k + 1):
+            a = rng.uniform(2.0, 20.0)
+            labels.set(v, BetaLabel(a, a * rng.uniform(0.3, 1.0)))
+        staged = set_condition(c, query=1, evidence=[(3 * k, True)])
+        assert_matches_dense(shadow_circuit(staged), labels)

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from betacircuits.harness import (DEFAULT_GAMMAS, ExperimentConfig,
@@ -121,3 +122,51 @@ class TestRun:
         report = run_experiment(cfg)
         m = report.backends["cpb"]
         assert m.trials + m.failures == 30
+
+    def test_underflow_counts_as_failed_trial(self, tmp_path, make_block_nnf):
+        # E[root] is a product of 300 block means near 0.5, so cpb's
+        # E[root]^4 underflows and its division raises ZeroDivisionError.
+        path = tmp_path / "blocks.nnf"
+        path.write_text(make_block_nnf(300))
+        cfg = ExperimentConfig(circuit_file=str(path), query_vars=(1,),
+                               n_ins=10, truth_draws=6, repetitions=5,
+                               backends=("cpb",), seed=3, golden_samples=0)
+        m = run_experiment(cfg).backends["cpb"]
+        assert m.failures > 0
+        assert m.trials + m.failures == 30
+
+
+class TestCoverage:
+    def test_vectorized_matches_scalar_loop(self, monkeypatch):
+        from scipy.stats import beta
+
+        from betacircuits import harness
+
+        captured = []
+        aggregate = harness._aggregate
+
+        def capture(name, recs, fails, gammas):
+            captured.extend(recs)
+            return aggregate(name, recs, fails, gammas)
+
+        monkeypatch.setattr(harness, "_aggregate", capture)
+        run_experiment(small_config(golden_samples=0))
+        inf = float("inf")
+        recs = captured + [
+            harness.TrialRecord(0.3, 0.3, 0.0, inf, inf, inf, 0.0),
+            harness.TrialRecord(0.3, 0.5, 0.0, inf, inf, inf, 0.0)]
+
+        def scalar(gamma):
+            hits = 0
+            for r in recs:
+                if not np.isfinite(r.alpha_pos) or not np.isfinite(r.alpha_neg):
+                    hits += abs(r.truth - r.mean) < 1e-9
+                    continue
+                lo = beta.ppf((1.0 - gamma) / 2.0, r.alpha_pos, r.alpha_neg)
+                hi = beta.ppf((1.0 + gamma) / 2.0, r.alpha_pos, r.alpha_neg)
+                hits += lo <= r.truth <= hi
+            return hits / len(recs)
+
+        assert len(recs) > 90
+        for gamma in DEFAULT_GAMMAS:
+            assert harness._coverage(recs, gamma) == scalar(gamma)
