@@ -16,7 +16,7 @@ from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable, NodeKind,
 from .cpb import (LeafCovariance, QueryResult, ShadowedCircuit, eval_cov,
                   moment_sweep, shadow_circuit)
 from .learn import Dataset, fit_complete, sample_observations
-from .mc import MCResult, mc_eval, mc_strength
+from .mc import MCResult, mc_eval, mc_eval_queries, mc_strength
 from .semirings import (InconsistentEvidenceError, SemiringSpec,
                         conditioned_eval, mm_semiring, prob_semiring,
                         sl_semiring)
@@ -30,7 +30,7 @@ __all__ = [
     "LeafCovariance", "QueryResult", "ShadowedCircuit", "eval_cov",
     "moment_sweep", "shadow_circuit",
     "Dataset", "fit_complete", "sample_observations",
-    "MCResult", "mc_eval", "mc_strength",
+    "MCResult", "mc_eval", "mc_eval_queries", "mc_strength",
     "InconsistentEvidenceError", "SemiringSpec", "conditioned_eval",
     "mm_semiring", "prob_semiring", "sl_semiring",
 ]

@@ -219,13 +219,17 @@ def from_opinion(op: Opinion,
 
     A dogmatic opinion (u = 0) has no finite-strength beta; the two
     absorbing cases b = 1 and d = 1 map to the certain sentinels, anything
-    else is rejected.
+    else is rejected.  An absorbing opinion's base rate of 0 or 1 (the
+    opinion calculus' identities) is outside a label's (0, 1) and is
+    replaced by the default.
     """
     if op.uncertainty <= 0.0:
+        base = (op.base_rate if 0.0 < op.base_rate < 1.0
+                else DEFAULT_BASE_RATE)
         if op.belief >= 1.0 - SIMPLEX_TOL:
-            return BetaLabel.certain_true(op.base_rate, prior_weight)
+            return BetaLabel.certain_true(base, prior_weight)
         if op.disbelief >= 1.0 - SIMPLEX_TOL:
-            return BetaLabel.certain_false(op.base_rate, prior_weight)
+            return BetaLabel.certain_false(base, prior_weight)
         raise ValueError(
             f"dogmatic opinion with interior belief {op.belief} has no "
             f"finite beta representation"

@@ -479,23 +479,19 @@ def parse_condition_file(text: str) -> tuple[Optional[int], list[tuple[int, bool
 
 def eval_circuit(c: Circuit, zero, one, plus: Callable, times: Callable,
                  leaf_value: Callable[[int], object],
-                 zero_literals: frozenset[int] = frozenset(),
-                 counter: Optional[list[int]] = None):
+                 zero_literals: frozenset[int] = frozenset()):
     """Single bottom-up semiring sweep over the circuit.
 
     ``leaf_value(lit)`` supplies the label of a literal leaf; leaves with
     lambda = 0 or whose literal is in ``zero_literals`` contribute ``zero``
     instead.  Every node is evaluated exactly once (the node list is a
-    topological order); ``counter``, if given, accumulates the number of
-    node evaluations for instrumentation.
+    topological order).
 
     Fold order over children is file order, which matters for the
     order-dependent opinion calculus.
     """
     values = [None] * len(c.nodes)
     for n in c.nodes:
-        if counter is not None:
-            counter[0] += 1
         if n.kind is NodeKind.LITERAL:
             if n.lam == 0 or n.literal in zero_literals:
                 values[n.id] = zero

@@ -17,6 +17,14 @@ conditionals:
   golden-standard Monte Carlo run on the same fitted labels;
 * per-query wall-clock distributions.
 
+The golden run makes one ``mc_eval_queries`` call per label set: every
+query of the set is scored on one shared draw of the leaves (common random
+numbers).  Three random streams feed a run.  The label stream
+``default_rng(seed)`` draws the truths, the evidence and the observations;
+the golden run and the ``mc:<k>`` backend each draw from their own child
+of ``SeedSequence(seed)``.  The cpb, mm and sl records therefore do not
+depend on any Monte Carlo setting.
+
 Everything except the wall-clock numbers is deterministic for a fixed
 seed, and the metric CSVs (rmse / calibration / correlation) are emitted
 byte-identically across runs.
@@ -40,7 +48,7 @@ from .circuit import Circuit, LabelTable, parse_nnf, set_condition
 from .cpb import eval_cov, shadow_circuit
 from .examples import BUILTIN_MODELS, ExampleModel, point_labels
 from .learn import fit_complete, sample_observations
-from .mc import mc_eval, mc_strength
+from .mc import mc_eval, mc_eval_queries, mc_strength
 from .semirings import (InconsistentEvidenceError, conditioned_eval,
                         mm_semiring, prob_semiring, sl_semiring)
 
@@ -270,6 +278,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Run the full protocol and aggregate per-backend metrics."""
     model = _resolve_model(cfg)
     rng = np.random.default_rng(cfg.seed)
+    golden_rng, mc_rng = (np.random.default_rng(s) for s in
+                          np.random.SeedSequence(cfg.seed).spawn(2))
     n_truths, n_reps = cfg.trial_shape
 
     records: dict[str, list[TrialRecord]] = {b: [] for b in cfg.backends}
@@ -280,6 +290,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         ev = {v: bool(rng.integers(2)) for v in model.random_evidence_vars}
         circuit = model.circuit(ev)
         point = point_labels(truth)
+        evidence_circuit = set_condition(circuit, query=None,
+                                         evidence=model.prob_evidence)
         staged: dict[int, Circuit] = {}
         true_cond: dict[int, float] = {}
         for q in model.query_vars:
@@ -293,15 +305,15 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
                                      tied_groups=model.tied_groups)
             golden: dict[int, float] = {}
             if cfg.golden_samples > 0:
-                for q in model.query_vars:
-                    res = mc_eval(staged[q], labels, cfg.golden_samples,
-                                  seed=rng)
-                    golden[q] = mc_strength(res.samples)
+                runs = mc_eval_queries(evidence_circuit, model.query_vars,
+                                       labels, cfg.golden_samples,
+                                       seed=golden_rng)
+                golden = {q: mc_strength(r.samples) for q, r in runs.items()}
             for b in cfg.backends:
                 for q in model.query_vars:
                     try:
                         rec = _run_backend(b, staged[q], labels,
-                                           true_cond[q], rng)
+                                           true_cond[q], mc_rng)
                     except (InconsistentEvidenceError, ValueError,
                             ArithmeticError):
                         failures[b] += 1

@@ -6,6 +6,16 @@ minus that draw, honoring cov[v, not v] = -var[v]) and evaluates the
 conditioned query in the point-probability semiring.  The sample mean and
 variance then estimate the query's posterior mean and epistemic variance.
 
+``mc_eval_queries`` answers several queries on one evidence circuit from
+one shared draw (common random numbers): per batch it samples every leaf
+once and runs one evidence sweep.  A query's joint sweep differs from the
+evidence sweep only at the ancestors of its negated-query leaves, so only
+those nodes are recomputed; every other node reuses its evidence value,
+which makes the result bitwise the full sweep's.  Each node's array is
+dropped after its last reader; of the evidence sweep only the root and the
+clean children of recomputed gates are kept.  ``mc_eval`` is the
+one-query case.
+
 Samples whose evidence probability is zero leave the conditional undefined
 and are rejected and redrawn (counted); when rejections exceed 99% of the
 draws the evidence is reported as almost surely inconsistent.
@@ -14,12 +24,13 @@ draws the evidence is reported as almost surely inconsistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments
-from .circuit import Circuit, LabelTable, NodeKind
+from .circuit import Circuit, CircuitError, CircuitNode, LabelTable, NodeKind
 from .semirings import InconsistentEvidenceError
 
 
@@ -38,37 +49,174 @@ def _sample_leaf_probs(label: BetaLabel, size: int,
     return rng.beta(label.alpha_pos, label.alpha_neg, size=size)
 
 
-def _eval_batch(c: Circuit, leaf_probs: dict[int, np.ndarray], size: int,
-                zero_literals: frozenset[int]) -> np.ndarray:
-    """Vectorized probability-semiring sweep over a batch of samples."""
-    values: list[np.ndarray] = [None] * len(c.nodes)  # type: ignore[list-item]
+@dataclass(frozen=True)
+class _SweepPlan:
+    """Node schedule of one evidence sweep and the per-query joint sweeps.
+
+    ``order`` lists the nodes that reach the root, children first.  A
+    query's ``joint`` entry holds the nodes it recomputes (the ancestors of
+    its negated-query leaves, in order) and their release schedule.  A
+    release schedule maps a node to the children whose arrays die once it
+    has read them.
+    """
+
+    order: list[int]
+    release: dict[int, list[int]]
+    joint: dict[int, tuple[list[int], dict[int, list[int]]]]
+
+    @classmethod
+    def build(cls, c: Circuit, queries: Iterable[int]) -> "_SweepPlan":
+        nodes = c.nodes
+        # Parents that reach the root, last reader first.
+        parents: list[list[int]] = [[] for _ in nodes]
+        reach = [False] * len(nodes)
+        reach[c.root] = True
+        for n in reversed(nodes):
+            if reach[n.id]:
+                for ch in n.children:
+                    reach[ch] = True
+                    parents[ch].append(n.id)
+        order = [i for i in range(len(nodes)) if reach[i]]
+        keep = {c.root}
+        joint = {}
+        for q in queries:
+            dirty = {i for i in order
+                     if nodes[i].literal == -q and nodes[i].lam != 0}
+            stack = list(dirty)
+            while stack:
+                for p in parents[stack.pop()]:
+                    if p not in dirty:
+                        dirty.add(p)
+                        stack.append(p)
+            release: dict[int, list[int]] = {}
+            for i in dirty:
+                keep.update(ch for ch in nodes[i].children if ch not in dirty)
+                last = next((p for p in parents[i] if p in dirty), None)
+                if last is not None:
+                    release.setdefault(last, []).append(i)
+            joint[q] = (sorted(dirty), release)
+        release = {}
+        for i in order:
+            if i not in keep:
+                release.setdefault(parents[i][0], []).append(i)
+        return cls(order, release, joint)
+
+
+def _fold(n: CircuitNode, value) -> np.ndarray:
+    """AND/OR over the children's arrays, in child order."""
+    ch = n.children
+    acc = value(ch[0])
+    if len(ch) == 1:
+        return acc
+    op = np.multiply if n.kind is NodeKind.AND else np.add
+    acc = op(acc, value(ch[1]))
+    for k in ch[2:]:
+        op(acc, value(k), out=acc)
+    return acc
+
+
+def _eval_queries(c: Circuit, plan: _SweepPlan,
+                  leaf_probs: dict[int, np.ndarray], size: int
+                  ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Evidence root and each query's joint root over a batch of samples."""
+    nodes = c.nodes
     ones = np.ones(size)
     zeros = np.zeros(size)
-    for n in c.nodes:
+    ev: list = [None] * len(nodes)
+    for i in plan.order:
+        n = nodes[i]
         if n.kind is NodeKind.LITERAL:
-            if n.lam == 0 or n.literal in zero_literals:
-                values[n.id] = zeros
+            if n.lam == 0:
+                ev[i] = zeros
             elif n.var not in leaf_probs:
                 # Derived (unlabelled) atom: weight 1 for both polarities.
-                values[n.id] = ones
+                ev[i] = ones
             else:
                 p = leaf_probs[n.var]
-                values[n.id] = p if n.literal > 0 else 1.0 - p
+                ev[i] = p if n.literal > 0 else 1.0 - p
         elif n.kind is NodeKind.TRUE:
-            values[n.id] = ones
+            ev[i] = ones
         elif n.kind is NodeKind.FALSE:
-            values[n.id] = zeros
-        elif n.kind is NodeKind.AND:
-            acc = values[n.children[0]]
-            for ch in n.children[1:]:
-                acc = acc * values[ch]
-            values[n.id] = acc
+            ev[i] = zeros
         else:
-            acc = values[n.children[0]]
-            for ch in n.children[1:]:
-                acc = acc + values[ch]
-            values[n.id] = acc
-    return values[c.root]
+            ev[i] = _fold(n, ev.__getitem__)
+        for ch in plan.release.get(i, ()):
+            ev[ch] = None
+
+    joints = {}
+    for q, (ids, release) in plan.joint.items():
+        jv: dict[int, np.ndarray] = {}
+
+        def value(k: int) -> np.ndarray:
+            return jv[k] if k in jv else ev[k]
+
+        for i in ids:
+            n = nodes[i]
+            jv[i] = zeros if n.kind is NodeKind.LITERAL else _fold(n, value)
+            for ch in release.get(i, ()):
+                del jv[ch]
+        joints[q] = value(c.root)
+    return ev[c.root], joints
+
+
+def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
+                    n_samples: int,
+                    seed: int | np.random.Generator | None = 0,
+                    max_rejection_rate: float = 0.99) -> dict[int, MCResult]:
+    """Monte Carlo estimates of several queries on one draw of the leaves.
+
+    ``c`` carries the evidence (as set by ``set_condition``); its staged
+    query, if any, is ignored.  ``queries`` are query literals; the result
+    maps each to its estimate.  All queries share the leaf draws and the
+    rejections, and each query's samples are those ``mc_eval`` returns for
+    the same seed.  Raises InconsistentEvidenceError when more than
+    ``max_rejection_rate`` of the draws produce zero-probability evidence.
+    """
+    queries = tuple(dict.fromkeys(queries))
+    if not queries:
+        raise ValueError("no queries given")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    leaf_vars = {n.var for n in c.nodes if n.kind is NodeKind.LITERAL}
+    for q in queries:
+        if abs(q) not in leaf_vars:
+            raise CircuitError(
+                f"query variable {abs(q)} does not occur in circuit")
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(seed))
+    circuit_vars = sorted(v for v in leaf_vars if v in labels)
+    plan = _SweepPlan.build(c, queries)
+
+    accepted: dict[int, list[np.ndarray]] = {q: [] for q in queries}
+    n_acc = 0
+    rejections = 0
+    total = 0
+    while n_acc < n_samples:
+        batch = n_samples - n_acc
+        leaf_probs = {v: _sample_leaf_probs(labels.label_of(v), batch, rng)
+                      for v in circuit_vars}
+        ev, joints = _eval_queries(c, plan, leaf_probs, batch)
+        ok = ev > 0.0
+        n_ok = int(ok.sum())
+        rejections += batch - n_ok
+        total += batch
+        if n_ok:
+            ev = ev[ok]
+            for q, joint in joints.items():
+                accepted[q].append(joint[ok] / ev)
+            n_acc += n_ok
+        if total >= max(100, 2 * n_samples) and rejections / total > max_rejection_rate:
+            raise InconsistentEvidenceError(
+                f"evidence almost surely inconsistent: "
+                f"{rejections}/{total} samples rejected")
+
+    out = {}
+    for q in queries:
+        samples = np.concatenate(accepted[q])[:n_samples]
+        mean = float(np.mean(samples))
+        var = float(np.var(samples, ddof=1)) if n_samples > 1 else 0.0
+        out[q] = MCResult(mean, var, samples, rejections)
+    return out
 
 
 def mc_eval(c: Circuit, labels: LabelTable, n_samples: int,
@@ -82,38 +230,8 @@ def mc_eval(c: Circuit, labels: LabelTable, n_samples: int,
     """
     if c.query_literal is None:
         raise ValueError("circuit has no staged query; call set_condition first")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = (seed if isinstance(seed, np.random.Generator)
-           else np.random.default_rng(seed))
-    circuit_vars = sorted({n.var for n in c.nodes
-                           if n.kind is NodeKind.LITERAL and n.var in labels})
-    qneg = frozenset((-c.query_literal,))
-
-    accepted: list[np.ndarray] = []
-    n_acc = 0
-    rejections = 0
-    total = 0
-    while n_acc < n_samples:
-        batch = n_samples - n_acc
-        leaf_probs = {v: _sample_leaf_probs(labels.label_of(v), batch, rng)
-                      for v in circuit_vars}
-        ev = _eval_batch(c, leaf_probs, batch, frozenset())
-        joint = _eval_batch(c, leaf_probs, batch, qneg)
-        ok = ev > 0.0
-        rejections += int(batch - ok.sum())
-        total += batch
-        if ok.any():
-            accepted.append(joint[ok] / ev[ok])
-            n_acc += int(ok.sum())
-        if total >= max(100, 2 * n_samples) and rejections / total > max_rejection_rate:
-            raise InconsistentEvidenceError(
-                f"evidence almost surely inconsistent: "
-                f"{rejections}/{total} samples rejected")
-    samples = np.concatenate(accepted)[:n_samples]
-    mean = float(np.mean(samples))
-    var = float(np.var(samples, ddof=1)) if n_samples > 1 else 0.0
-    return MCResult(mean, var, samples, rejections)
+    return mc_eval_queries(c, (c.query_literal,), labels, n_samples, seed,
+                           max_rejection_rate)[c.query_literal]
 
 
 def mc_strength(samples: np.ndarray,

@@ -24,7 +24,7 @@ children is fixed to file order for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments, Opinion
@@ -179,13 +179,12 @@ def mm_semiring() -> SemiringSpec:
 # ---------------------------------------------------------------------
 
 def evaluate(c: Circuit, spec: SemiringSpec, labels: LabelTable,
-             zero_literals: frozenset[int] = frozenset(),
-             counter: Optional[list[int]] = None):
+             zero_literals: frozenset[int] = frozenset()):
     """One lambda-aware sweep in the given semiring."""
     return eval_circuit(
         c, spec.zero, spec.one, spec.plus, spec.times,
         leaf_value=lambda lit: spec.from_label(labels.label_of(lit)),
-        zero_literals=zero_literals, counter=counter)
+        zero_literals=zero_literals)
 
 
 def conditioned_eval(c: Circuit, spec: SemiringSpec, labels: LabelTable):

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from betacircuits.betacalc import (
-    BetaLabel, Moments, Opinion, MAX_STRENGTH, from_opinion, mm_division,
-    mm_product, mm_sum, moment_match, moments_of, sl_division, sl_product,
-    sl_sum, to_opinion)
+    DEFAULT_BASE_RATE, BetaLabel, Moments, Opinion, MAX_STRENGTH,
+    from_opinion, mm_division, mm_product, mm_sum, moment_match, moments_of,
+    sl_division, sl_product, sl_sum, to_opinion)
 
 
 def approx_opinion(op, b, d, u, a, tol=1e-12):
@@ -61,6 +61,14 @@ class TestConversions:
         assert from_opinion(Opinion(0, 1, 0, 0.5)).certain is False
         with pytest.raises(ValueError):
             from_opinion(Opinion(0.5, 0.5, 0.0, 0.5))
+
+    def test_identity_opinions_map_to_certain_labels(self):
+        # The opinion calculus' one and zero carry base rates of 1 and 0,
+        # which no label accepts; they map with the default base rate.
+        one = from_opinion(Opinion(1.0, 0.0, 0.0, 1.0))
+        zero = from_opinion(Opinion(0.0, 1.0, 0.0, 0.0))
+        assert (one.certain, one.base_rate) == (True, DEFAULT_BASE_RATE)
+        assert (zero.certain, zero.base_rate) == (False, DEFAULT_BASE_RATE)
 
 
 class TestLabelBasics:

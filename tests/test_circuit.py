@@ -13,10 +13,10 @@ from betacircuits.circuit import (
 from betacircuits.examples import BURGLARY_NNF, burglary_circuit, burglary_labels
 
 
-def prob_eval(c, labels, zero_literals=frozenset(), counter=None):
+def prob_eval(c, labels, zero_literals=frozenset()):
     return eval_circuit(c, 0.0, 1.0, lambda a, b: a + b, lambda a, b: a * b,
                         leaf_value=lambda lit: labels.mean_of(lit),
-                        zero_literals=zero_literals, counter=counter)
+                        zero_literals=zero_literals)
 
 
 def enumeration_wmc(c, labels, zero_literals=frozenset()):
@@ -123,9 +123,16 @@ class TestEvaluation:
         assert prob_eval(c, LabelTable()) == pytest.approx(2.0)
 
     def test_each_node_evaluated_once(self):
-        counter = [0]
-        prob_eval(burglary_circuit(), burglary_labels(), counter=counter)
-        assert counter[0] == 7
+        # Seven nodes: four leaves read once each, and two binary ANDs and
+        # one binary OR folded once each.
+        calls = []
+        labels = burglary_labels()
+        eval_circuit(burglary_circuit(), 0.0, 1.0,
+                     lambda a, b: calls.append("+") or a + b,
+                     lambda a, b: calls.append("*") or a * b,
+                     leaf_value=lambda lit: calls.append(lit) or
+                     labels.mean_of(lit))
+        assert sorted(calls, key=str) == ["*", "*", "+", -1, 1, 2, 3]
 
     def test_matches_enumeration(self):
         rng = random.Random(11)

@@ -133,6 +133,19 @@ class TestInfer:
         assert out == ""
         assert err.startswith("error: numerical failure:")
 
+    @pytest.mark.parametrize("backend", ["sl", "cpb", "mm", "prob"])
+    def test_query_implied_by_evidence(self, burglary_files, tmp_path,
+                                       capsys, backend):
+        # Evidence burglary=1 makes the burglary query certain; sl's
+        # conditional is the identity opinion, whose base rate is 1.
+        circuit, labels = burglary_files
+        cond = tmp_path / "cond.txt"
+        cond.write_text("evidence 1 1\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--evidence", cond,
+                           "--query", "1", "--backend", backend)
+        assert (rc, out, err) == (0, "1.0 0.0 inf 1\n", "")
+
     def test_mc_seed_reproducible(self, burglary_files, capsys):
         circuit, labels = burglary_files
         outs = []
