@@ -104,13 +104,6 @@ class Circuit:
             self._scopes = out
         return self._scopes
 
-    def parent_counts(self) -> list[int]:
-        counts = [0] * len(self.nodes)
-        for n in self.nodes:
-            for c in n.children:
-                counts[c] += 1
-        return counts
-
     def literal_leaves(self, literal: int) -> list[int]:
         """Ids of all leaves carrying exactly this signed literal."""
         return [n.id for n in self.nodes
@@ -237,40 +230,49 @@ class ValidationReport:
         return not self.violations
 
 
-def truth_value(c: Circuit, assignment: Mapping[int, bool],
-                respect_lambda: bool = False) -> bool:
+def _truth_tables(c: Circuit, columns: Mapping[int, int], full: int) -> list[int]:
+    """Every node's truth table as a bitset, in one pass over ``c.nodes``.
+
+    Bit r of a table is the node's value on row r.  ``columns[v]`` is the
+    table of variable v and ``full`` has every row's bit set; a variable
+    missing from ``columns`` makes its literal leaves raise KeyError.
+    """
+    tables: list[int] = []
+    for n in c.nodes:
+        if n.kind is NodeKind.LITERAL:
+            col = columns[n.var]
+            tables.append(col if n.literal > 0 else full ^ col)
+        elif n.kind in (NodeKind.AND, NodeKind.TRUE):
+            acc = full
+            for ch in n.children:
+                acc &= tables[ch]
+            tables.append(acc)
+        else:
+            acc = 0
+            for ch in n.children:
+                acc |= tables[ch]
+            tables.append(acc)
+    return tables
+
+
+def truth_value(c: Circuit, assignment: Mapping[int, bool]) -> bool:
     """Boolean value of the circuit under a (partial) variable assignment.
 
     Variables missing from the assignment make literal leaves raise KeyError;
-    callers must cover the scope of the evaluated circuit.  With
-    ``respect_lambda`` leaves with lambda = 0 evaluate to False.
+    callers must cover the scope of the evaluated circuit.
     """
-    memo: dict[int, bool] = {}
-    for n in c.nodes:
-        if n.kind is NodeKind.LITERAL:
-            if respect_lambda and n.lam == 0:
-                memo[n.id] = False
-            else:
-                val = assignment[n.var]
-                memo[n.id] = val if n.literal > 0 else not val
-        elif n.kind is NodeKind.TRUE:
-            memo[n.id] = True
-        elif n.kind is NodeKind.FALSE:
-            memo[n.id] = False
-        elif n.kind is NodeKind.AND:
-            memo[n.id] = all(memo[ch] for ch in n.children)
-        else:
-            memo[n.id] = any(memo[ch] for ch in n.children)
-    return memo[c.root]
+    columns = {v: int(bool(val)) for v, val in assignment.items()}
+    return bool(_truth_tables(c, columns, 1)[c.root])
 
 
 def validate(c: Circuit, max_check_vars: int = 16) -> ValidationReport:
     """Check decomposability (always exact) and determinism.
 
-    Determinism requires exhaustive model enumeration, which is exponential
-    in the number of variables; it is checked exactly iff
-    ``c.var_count <= max_check_vars``, otherwise the circuit is trusted and
-    a warning is recorded.
+    Determinism is checked exactly iff ``c.var_count <= max_check_vars``,
+    otherwise the circuit is trusted and a warning is recorded.  The check
+    is one pass that builds every node's truth table over all 2^V rows of
+    its V leaf variables (n * 2^V bits of memory); an OR node is reported
+    at the lowest row, restricted to its scope, where two children hold.
     """
     violations: list[str] = []
     warnings: list[str] = []
@@ -291,36 +293,31 @@ def validate(c: Circuit, max_check_vars: int = 16) -> ValidationReport:
         warnings.append(
             f"determinism not checked: {c.var_count} variables exceeds "
             f"max_check_vars={max_check_vars}; circuit trusted")
-    else:
-        for n in c.nodes:
-            if n.kind is not NodeKind.OR or len(n.children) < 2:
-                continue
-            local_vars = sorted(scopes[n.id])
-            for bits in range(1 << len(local_vars)):
-                assignment = {v: bool((bits >> i) & 1)
-                              for i, v in enumerate(local_vars)}
-                sat = [ch for ch in n.children
-                       if _truth_of_subtree(c, ch, assignment)]
-                if len(sat) > 1:
-                    violations.append(
-                        f"node {n.id}: OR children {sat} overlap on "
-                        f"assignment {assignment}")
-                    break
+        return ValidationReport(violations, warnings, determinism_exact)
+
+    variables = sorted({n.var for n in c.nodes if n.kind is NodeKind.LITERAL})
+    full = (1 << (1 << len(variables))) - 1
+    # Variable j is bit j of the row index: runs of 2^j zeros then 2^j ones.
+    columns = {v: (((1 << (1 << j)) - 1) << (1 << j))
+               * (full // ((1 << (2 << j)) - 1))
+               for j, v in enumerate(variables)}
+    tables = _truth_tables(c, columns, full)
+    for n in c.nodes:
+        if n.kind is not NodeKind.OR:
+            continue
+        union = overlap = 0
+        for ch in n.children:
+            overlap |= union & tables[ch]
+            union |= tables[ch]
+        if overlap:
+            row = (overlap & -overlap).bit_length() - 1
+            sat = [ch for ch in n.children if (tables[ch] >> row) & 1]
+            assignment = {v: bool((row >> j) & 1)
+                          for j, v in enumerate(variables) if v in scopes[n.id]}
+            violations.append(
+                f"node {n.id}: OR children {sat} overlap on "
+                f"assignment {assignment}")
     return ValidationReport(violations, warnings, determinism_exact)
-
-
-def _truth_of_subtree(c: Circuit, nid: int, assignment: Mapping[int, bool]) -> bool:
-    n = c.nodes[nid]
-    if n.kind is NodeKind.LITERAL:
-        val = assignment[n.var]
-        return val if n.literal > 0 else not val
-    if n.kind is NodeKind.TRUE:
-        return True
-    if n.kind is NodeKind.FALSE:
-        return False
-    if n.kind is NodeKind.AND:
-        return all(_truth_of_subtree(c, ch, assignment) for ch in n.children)
-    return any(_truth_of_subtree(c, ch, assignment) for ch in n.children)
 
 
 # ---------------------------------------------------------------------

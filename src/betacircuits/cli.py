@@ -62,6 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_infer(args: argparse.Namespace) -> int:
     circuit = parse_nnf(Path(args.circuit).read_text())
     report = validate(circuit)
+    for w in report.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     if report.violations:
         for v in report.violations:
             print(f"error: {v}", file=sys.stderr)
@@ -90,8 +92,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     elif args.backend == "mc":
         res = mc_eval(staged, labels, args.samples, seed=args.seed)
         mean, var = res.mean, res.variance
-        bound = max(mean, 0.0) * max(1.0 - mean, 0.0)
-        label = betacalc.moment_match(Moments(mean, min(var, bound)))
+        label = betacalc.moment_match(Moments(mean, var))
     else:
         spec = {"prob": prob_semiring, "sl": sl_semiring,
                 "mm": mm_semiring}[args.backend]()

@@ -170,13 +170,6 @@ class ShadowedCircuit:
     def shadow_root(self) -> int:
         return self.shadow_of.get(self.circuit.root, self.circuit.root)
 
-    def children_of(self, nid: int) -> tuple[int, ...]:
-        if nid < len(self.circuit):
-            return self.circuit.node(nid).children
-        if nid in self.stub_ids:
-            return ()
-        return self.shadow_children[nid]
-
 
 def shadow_circuit(c: Circuit) -> ShadowedCircuit:
     """Duplicate the negated-query leaves and their ancestor closure.
@@ -248,15 +241,17 @@ def _stochastic_leaves(c: Circuit) -> list[CircuitNode]:
     return [n for n in c.nodes if n.kind is NodeKind.LITERAL and n.lam == 1]
 
 
-def _gate_weights(kind: NodeKind, child_means: list[float]) -> list[float]:
-    """Per-child weights dn/dc: 1 for OR, leave-one-out mean products for AND.
+def _gate(kind: NodeKind, child_means: list[float]) -> tuple[float, list[float]]:
+    """A gate's mean and its per-child weights dn/dc.
 
-    For AND, the leave-one-out product equals E[n]/E[c] whenever E[c] != 0
-    and is its algebraic limit otherwise (the zero-mean rule), so no
-    division by zero can occur.
+    OR: the fsum of the child means, and weight 1 per child.  AND: the
+    product of the child means, and the leave-one-out products as weights.
+    The leave-one-out product equals E[n]/E[c] whenever E[c] != 0 and is its
+    algebraic limit otherwise (the zero-mean rule), so no division by zero
+    can occur.
     """
     if kind is NodeKind.OR:
-        return [1.0] * len(child_means)
+        return math.fsum(child_means), [1.0] * len(child_means)
     k = len(child_means)
     prefix = [1.0] * (k + 1)
     for i in range(k):
@@ -264,16 +259,7 @@ def _gate_weights(kind: NodeKind, child_means: list[float]) -> list[float]:
     suffix = [1.0] * (k + 1)
     for i in range(k - 1, -1, -1):
         suffix[i] = suffix[i + 1] * child_means[i]
-    return [prefix[i] * suffix[i + 1] for i in range(k)]
-
-
-def _gate_mean(kind: NodeKind, child_means: list[float]) -> float:
-    if kind is NodeKind.OR:
-        return math.fsum(child_means)
-    m = 1.0
-    for cm in child_means:
-        m *= cm
-    return m
+    return prefix[k], [prefix[i] * suffix[i + 1] for i in range(k)]
 
 
 def _conditioned_result(mean_num: float, mean_den: float,
@@ -339,8 +325,7 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
               if sh not in sc.stub_ids]
     for nid, kind, children in gates:
         child_means = [float(means[ch]) for ch in children]
-        weights = _gate_weights(kind, child_means)
-        means[nid] = _gate_mean(kind, child_means)
+        means[nid], weights = _gate(kind, child_means)
         row = np.zeros(n)
         for ch, w in zip(children, weights):
             row += w * cov[ch, :]
@@ -371,8 +356,7 @@ def _root_gradient(c: Circuit, labels: LabelTable,
                 means[node.id] = _leaf_mean(c, labels, node.id)
             continue
         child_means = [means[ch] for ch in node.children]
-        weights[node.id] = _gate_weights(node.kind, child_means)
-        means[node.id] = _gate_mean(node.kind, child_means)
+        means[node.id], weights[node.id] = _gate(node.kind, child_means)
 
     adjoint = [0.0] * len(c)
     adjoint[c.root] = 1.0

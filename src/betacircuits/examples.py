@@ -103,11 +103,6 @@ def burglary_labels() -> LabelTable:
     })
 
 
-def burglary_point_labels() -> LabelTable:
-    """Point-probability labels (0.1, 0.2, 0.7) via narrow betas."""
-    return point_labels({1: 0.1, 2: 0.2, 3: 0.7})
-
-
 def burglary_model() -> ExampleModel:
     """Theory form: alarm <-> b or e; calls <-> alarm and h; calls observed."""
     b, e, h, a, c = (BURGLARY_VARS[k] for k in

@@ -238,8 +238,7 @@ def _run_backend(name: str, staged: Circuit, labels: LabelTable,
         return _label_record(truth, lab, op.projected, lab.variance, dt)
     k = int(name[3:])
     res = mc_eval(staged, labels, k, seed=rng)
-    bound = max(res.mean, 0.0) * max(1.0 - res.mean, 0.0)
-    lab = betacalc.moment_match(Moments(res.mean, min(res.variance, bound)))
+    lab = betacalc.moment_match(Moments(res.mean, res.variance))
     dt = time.perf_counter() - t0
     return _label_record(truth, lab, res.mean, res.variance, dt)
 

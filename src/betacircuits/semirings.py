@@ -155,8 +155,8 @@ def mm_semiring() -> SemiringSpec:
     """Moment-pair parametrisation.
 
     Intermediate values stay raw (mean, variance) pairs; ``to_label``
-    performs the single moment-matching step (clamping the variance to the
-    [0,1]-support bound first).
+    performs the single moment-matching step (which falls back to the prior
+    floors when the variance reaches the [0,1]-support bound).
     """
     return SemiringSpec(
         name="mm",
@@ -167,9 +167,7 @@ def mm_semiring() -> SemiringSpec:
         divide=_mm_divide,
         from_label=lambda lab: lab.moments(),
         is_zero=lambda v: v.mean == 0.0,
-        to_label=lambda v: betacalc.moment_match(
-            Moments(v.mean, min(v.variance,
-                                max(v.mean, 0.0) * max(1.0 - v.mean, 0.0)))),
+        to_label=betacalc.moment_match,
         mean_of=lambda v: v.mean,
     )
 

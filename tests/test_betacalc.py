@@ -121,6 +121,17 @@ class TestMomentMatch:
         fit = moment_match(Moments(0.2, 0.2 * 0.8))
         assert fit.strength == pytest.approx(max(1.0 / 0.2, 1.0 / 0.8))
 
+    def test_variance_above_bound_equals_clamped(self):
+        # Callers pass unclamped variances: the floor fallback makes any
+        # variance past m(1-m) give the label of the bound itself.
+        rng = random.Random(5)
+        for _ in range(200):
+            m = rng.uniform(1e-6, 1.0 - 1e-6)
+            var = m * (1.0 - m) * rng.uniform(1.0, 50.0)
+            a, w = rng.uniform(0.05, 0.95), rng.uniform(0.5, 10.0)
+            assert (moment_match(Moments(m, var), a, w)
+                    == moment_match(Moments(m, m * (1.0 - m)), a, w))
+
     def test_zero_variance_caps_strength(self):
         fit = moment_match(Moments(0.3, 0.0))
         assert fit.strength == pytest.approx(MAX_STRENGTH)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from betacircuits.circuit import (
     CircuitError, LabelTable, NodeKind, eval_circuit, format_label_table,
     format_nnf, parse_condition_file, parse_label_table, parse_nnf,
     set_condition, truth_value, validate)
+from betacircuits.compile import Theory, f_iff, f_not, f_var, shannon_compile
 from betacircuits.examples import BURGLARY_NNF, burglary_circuit, burglary_labels
 
 
@@ -17,6 +19,61 @@ def prob_eval(c, labels, zero_literals=frozenset()):
     return eval_circuit(c, 0.0, 1.0, lambda a, b: a + b, lambda a, b: a * b,
                         leaf_value=lambda lit: labels.mean_of(lit),
                         zero_literals=zero_literals)
+
+
+def random_nnf(rng):
+    """A small random AND/OR DAG; most are neither decomposable nor
+    deterministic."""
+    nv = rng.randint(1, 8)
+    lines = [f"L {rng.choice((1, -1)) * rng.randint(1, nv)}"
+             for _ in range(rng.randint(2, 10))]
+    for _ in range(rng.randint(1, 14)):
+        r = rng.random()
+        if r < 0.05:
+            lines.append("A 0")
+        elif r < 0.1:
+            lines.append("O 0 0")
+        else:
+            ids = [rng.randrange(len(lines)) for _ in range(rng.randint(1, 4))]
+            head = "A" if r < 0.5 else "O 0"
+            lines.append(f"{head} {len(ids)} " + " ".join(map(str, ids)))
+    return f"nnf {len(lines)} 0 {nv}\n" + "\n".join(lines) + "\n"
+
+
+def local_enumeration_violations(c):
+    """Determinism oracle: each OR node's children, evaluated recursively
+    on every assignment of the node's own scope in turn."""
+    def holds(nid, assignment):
+        n = c.nodes[nid]
+        if n.kind is NodeKind.LITERAL:
+            return assignment[n.var] == (n.literal > 0)
+        if n.kind is NodeKind.AND or n.kind is NodeKind.TRUE:
+            return all(holds(ch, assignment) for ch in n.children)
+        return any(holds(ch, assignment) for ch in n.children)
+
+    out = []
+    scopes = c.scopes()
+    for n in c.nodes:
+        if n.kind is not NodeKind.OR:
+            continue
+        local_vars = sorted(scopes[n.id])
+        for bits in range(1 << len(local_vars)):
+            assignment = {v: bool((bits >> i) & 1)
+                          for i, v in enumerate(local_vars)}
+            sat = [ch for ch in n.children if holds(ch, assignment)]
+            if len(sat) > 1:
+                out.append(f"node {n.id}: OR children {sat} overlap on "
+                           f"assignment {assignment}")
+                break
+    return out
+
+
+def parity_circuit(n):
+    """x1 xor ... xor xn, compiled: a shared DAG of about 8n nodes."""
+    f = f_var(1)
+    for v in range(2, n + 1):
+        f = f_not(f_iff(f, f_var(v)))
+    return shannon_compile(Theory(n, (f,)))
 
 
 def enumeration_wmc(c, labels, zero_literals=frozenset()):
@@ -97,6 +154,30 @@ class TestValidation:
         assert not rep.ok
         assert "overlap" in rep.violations[0]
 
+    def test_determinism_message_names_children_and_row(self):
+        c = parse_nnf("nnf 3 2 1\nL 1\nL 1\nO 1 2 0 1\n")
+        assert validate(c).violations == [
+            "node 2: OR children [0, 1] overlap on assignment {1: True}"]
+
+    def test_determinism_matches_local_enumeration(self):
+        rng = random.Random(7)
+        flagged = 0
+        for _ in range(400):
+            c = parse_nnf(random_nnf(rng))
+            expect = local_enumeration_violations(c)
+            got = [v for v in validate(c).violations if "OR children" in v]
+            assert got == expect
+            flagged += bool(expect)
+        assert flagged > 100
+
+    def test_parity_16_validates_fast(self):
+        c = parity_circuit(16)
+        t0 = time.perf_counter()
+        rep = validate(c)
+        elapsed = time.perf_counter() - t0
+        assert rep.ok and rep.determinism_exact
+        assert elapsed < 1.0
+
     def test_determinism_skipped_above_threshold(self):
         rep = validate(burglary_circuit(), max_check_vars=2)
         assert rep.ok
@@ -149,6 +230,8 @@ class TestEvaluation:
         assert truth_value(c, {1: True, 2: False, 3: True})
         assert not truth_value(c, {1: False, 2: False, 3: True})
         assert not truth_value(c, {1: True, 2: False, 3: False})
+        with pytest.raises(KeyError):
+            truth_value(c, {1: True, 2: False})
 
 
 class TestConditioning:

@@ -131,7 +131,10 @@ class TestInfer:
                            "--backend", "cpb")
         assert rc == 2
         assert out == ""
-        assert err.startswith("error: numerical failure:")
+        # 900 variables: validate's determinism warning comes first.
+        warning, error = err.splitlines()
+        assert warning.startswith("warning: determinism not checked:")
+        assert error.startswith("error: numerical failure:")
 
     @pytest.mark.parametrize("backend", ["sl", "cpb", "mm", "prob"])
     def test_query_implied_by_evidence(self, burglary_files, tmp_path,
@@ -145,6 +148,21 @@ class TestInfer:
                            "--labels", labels, "--evidence", cond,
                            "--query", "1", "--backend", backend)
         assert (rc, out, err) == (0, "1.0 0.0 inf 1\n", "")
+
+    def test_unchecked_determinism_warns_on_stderr(self, burglary_files,
+                                                   tmp_path, capsys):
+        # The same circuit declared over 17 variables exceeds validate's
+        # exact-check limit of 16: the answer is unchanged, and stderr
+        # says that determinism was trusted, not checked.
+        circuit, labels = burglary_files
+        wide = tmp_path / "wide.nnf"
+        header, body = circuit.read_text().split("\n", 1)
+        wide.write_text(header.rsplit(" ", 1)[0] + " 17\n" + body)
+        argv = ("--labels", labels, "--query", "1", "--backend", "cpb")
+        _, expect, _ = run(capsys, "infer", "--circuit", circuit, *argv)
+        rc, out, err = run(capsys, "infer", "--circuit", wide, *argv)
+        assert (rc, out) == (0, expect)
+        assert err.startswith("warning: determinism not checked: 17 variables")
 
     def test_mc_seed_reproducible(self, burglary_files, capsys):
         circuit, labels = burglary_files
