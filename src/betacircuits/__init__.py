@@ -14,7 +14,7 @@ from .betacalc import (BetaLabel, Moments, Opinion, from_opinion, mm_division,
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable, NodeKind,
                       format_nnf, parse_nnf, set_condition, validate)
 from .cpb import (LeafCovariance, QueryResult, ShadowedCircuit, eval_cov,
-                  moment_sweep, shadow_circuit)
+                  shadow_circuit)
 from .learn import Dataset, fit_complete, sample_observations
 from .mc import MCResult, mc_eval, mc_eval_queries, mc_strength
 from .semirings import (InconsistentEvidenceError, SemiringSpec,
@@ -28,7 +28,7 @@ __all__ = [
     "Circuit", "CircuitError", "CircuitNode", "LabelTable", "NodeKind",
     "format_nnf", "parse_nnf", "set_condition", "validate",
     "LeafCovariance", "QueryResult", "ShadowedCircuit", "eval_cov",
-    "moment_sweep", "shadow_circuit",
+    "shadow_circuit",
     "Dataset", "fit_complete", "sample_observations",
     "MCResult", "mc_eval", "mc_eval_queries", "mc_strength",
     "InconsistentEvidenceError", "SemiringSpec", "conditioned_eval",

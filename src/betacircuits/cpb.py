@@ -45,12 +45,11 @@ expansion of X/Y around the means:
 
 clamped to the [0,1]-support bound before beta moment matching.
 
-``shadow_circuit`` and ``moment_sweep`` are the dense reference and the
-introspection API.  Shadowing duplicates the negated-query leaves and
-their ancestors, so one circuit carries both roots; the sweep then
-propagates every node's mean and its covariance row against every other
-node (cov[n,z] = sum_c w_c cov[c,z]), which yields the same moments as
-the gradient form at O(n^2) cost.
+``shadow_circuit`` duplicates the negated-query leaves and their
+ancestors, so one circuit carries both roots.  The dense O(n^2) reference,
+which propagates every node's covariance row against every other node
+(cov[n,z] = sum_c w_c cov[c,z]) over a shadowed circuit, lives with the
+tests in ``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments
@@ -225,15 +222,19 @@ class QueryResult:
     variance_clamped: bool = False
 
 
-def _leaf_mean(c: Circuit, labels: LabelTable, nid: int) -> float:
-    node = c.node(nid)
-    if node.kind is NodeKind.TRUE:
-        return 1.0
-    if node.kind is NodeKind.FALSE:
-        return 0.0
-    if node.lam == 0:
-        return 0.0
-    return labels.mean_of(node.literal)
+def _leaf_means(c: Circuit, labels: LabelTable) -> list[float]:
+    """Node-indexed leaf means, 0.0 at the gates.
+
+    TRUE is 1, a lambda=1 literal has its label mean, and FALSE and the
+    lambda=0 leaves are 0.  ``eval_cov`` builds this once for both passes.
+    """
+    means = [0.0] * len(c)
+    for node in c.nodes:
+        if node.kind is NodeKind.TRUE:
+            means[node.id] = 1.0
+        elif node.kind is NodeKind.LITERAL and node.lam == 1:
+            means[node.id] = labels.mean_of(node.literal)
+    return means
 
 
 def _stochastic_leaves(c: Circuit) -> list[CircuitNode]:
@@ -284,79 +285,25 @@ def _conditioned_result(mean_num: float, mean_den: float,
     return QueryResult(mean, var, matched, clamped)
 
 
-def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
-                 leaf_cov: Optional[LeafCovariance] = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Means and full covariance matrix over all base and shadow nodes.
-
-    The dense reference for ``eval_cov``, and the way to inspect the
-    covariance of any two nodes.  Row/column i of the covariance matrix
-    belongs to node id i (shadow ids start at ``len(sc.circuit)``).
-    ``leaf_cov`` defaults to independent leaves (block-diagonal pattern
-    with cov[v, not v] = -var[v] inside each variable's block).  All leaf
-    covariances are filled in first; then the base gates and the shadow
-    gates are swept in id order, which is topological for both.  Costs
-    O(n^2) memory and time.
-    """
-    if leaf_cov is None:
-        leaf_cov = LeafCovariance()
-    c = sc.circuit
-    n = sc.n_total
-    means = np.zeros(n)
-    cov = np.zeros((n, n))
-
-    for node in c.nodes:
-        if not node.children:
-            means[node.id] = _leaf_mean(c, labels, node.id)
-    by_var: dict[int, list[CircuitNode]] = {}
-    for leaf in _stochastic_leaves(c):
-        by_var.setdefault(leaf.var, []).append(leaf)
-    for vi, vj in [(v, v) for v in by_var] + list(leaf_cov.cross_entries):
-        for a in by_var.get(vi, ()):
-            for b in by_var.get(vj, ()):
-                cov[a.id, b.id] = cov[b.id, a.id] = leaf_cov.lookup(
-                    labels, a.literal, b.literal)
-
-    # Shadow stubs keep mean 0 and a zero covariance row.
-    gates = [(node.id, node.kind, node.children)
-             for node in c.nodes if node.children]
-    gates += [(sh, c.node(b).kind, sc.shadow_children[sh])
-              for b, sh in sorted(sc.shadow_of.items())
-              if sh not in sc.stub_ids]
-    for nid, kind, children in gates:
-        child_means = [float(means[ch]) for ch in children]
-        means[nid], weights = _gate(kind, child_means)
-        row = np.zeros(n)
-        for ch, w in zip(children, weights):
-            row += w * cov[ch, :]
-        diag = math.fsum(w * row[ch] for ch, w in zip(children, weights))
-        cov[nid, :] = row
-        cov[:, nid] = row
-        cov[nid, nid] = diag
-
-    return means, cov
-
-
-def _root_gradient(c: Circuit, labels: LabelTable,
+def _root_gradient(c: Circuit, leaf_means: list[float],
                    zeroed: frozenset[int]) -> tuple[float, dict[int, float]]:
     """Root mean and its derivative with respect to each leaf variable.
 
-    One forward pass computes the node means (with the ``zeroed`` leaves
-    pinned to 0) and each gate's per-child weights; one reverse pass
-    accumulates the adjoints d root / d node.  A variable's derivative is
-    the adjoint sum over its positive lambda=1 leaves minus that over its
-    negative ones, since a negative leaf carries 1 - theta.  The zeroed
-    leaves are constants and contribute nothing.
+    One forward pass computes the node means (``leaf_means`` at the leaves,
+    with the ``zeroed`` leaves pinned to 0) and each gate's per-child
+    weights; one reverse pass accumulates the adjoints d root / d node.  A
+    variable's derivative is the adjoint sum over its positive lambda=1
+    leaves minus that over its negative ones, since a negative leaf carries
+    1 - theta.  The zeroed leaves are constants and contribute nothing.
     """
-    means = [0.0] * len(c)
+    means = list(leaf_means)
+    for nid in zeroed:
+        means[nid] = 0.0
     weights: list[list[float]] = [[] for _ in range(len(c))]
     for node in c.nodes:
-        if not node.children:
-            if node.id not in zeroed:
-                means[node.id] = _leaf_mean(c, labels, node.id)
-            continue
-        child_means = [means[ch] for ch in node.children]
-        means[node.id], weights[node.id] = _gate(node.kind, child_means)
+        if node.children:
+            child_means = [means[ch] for ch in node.children]
+            means[node.id], weights[node.id] = _gate(node.kind, child_means)
 
     adjoint = [0.0] * len(c)
     adjoint[c.root] = 1.0
@@ -392,8 +339,9 @@ def eval_cov(sc: ShadowedCircuit, labels: LabelTable,
         leaf_cov = LeafCovariance()
     c = sc.circuit
     qneg = frozenset(c.literal_leaves(-c.query_literal))
-    mean_den, g_den = _root_gradient(c, labels, frozenset())
-    mean_num, g_num = _root_gradient(c, labels, qneg)
+    leaf_means = _leaf_means(c, labels)
+    mean_den, g_den = _root_gradient(c, leaf_means, frozenset())
+    mean_num, g_num = _root_gradient(c, leaf_means, qneg)
     variances = {v: labels.variance_of(v) for v in g_den}
 
     def form(ga: dict[int, float], gb: dict[int, float]) -> float:

@@ -7,18 +7,20 @@ assigns every variable, the per-variable likelihoods factorize and the
 posteriors stay independent of each other -- which is why the emitted leaf
 covariance carries no cross-variable entries (the within-variable block
 cov[v, not v] = -var[v] is implied by the labels themselves).
+``sample_observations`` imports numpy when called, not with the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .betacalc import (DEFAULT_BASE_RATE, DEFAULT_PRIOR_WEIGHT, BetaLabel)
 from .circuit import CircuitError, LabelTable
 from .cpb import LeafCovariance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ def sample_observations(probs: Mapping[int, float] | Sequence[float],
     sequence (then variables are 1..len).  Returns the dataset and the
     column-to-variable mapping.  Deterministic for a fixed seed.
     """
+    import numpy as np
+
     if isinstance(probs, Mapping):
         variables = sorted(probs)
         p = np.array([probs[v] for v in variables], dtype=float)

@@ -16,6 +16,9 @@ dropped after its last reader; of the evidence sweep only the root and the
 clean children of recomputed gates are kept.  ``mc_eval`` is the
 one-query case.
 
+numpy is imported on the first call, not with the module, so that
+importing the package (and the CLI's other backends) does not load it.
+
 Samples whose evidence probability is zero leave the conditional undefined
 and are rejected and redrawn (counted); when rejections exceed 99% of the
 draws the evidence is reported as almost surely inconsistent.
@@ -23,15 +26,17 @@ draws the evidence is reported as almost surely inconsistent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from . import betacalc
-from .betacalc import BetaLabel, Moments
+from .betacalc import Moments
 from .circuit import Circuit, CircuitError, CircuitNode, LabelTable, NodeKind
 from .semirings import InconsistentEvidenceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -40,13 +45,6 @@ class MCResult:
     variance: float
     samples: np.ndarray
     rejections: int
-
-
-def _sample_leaf_probs(label: BetaLabel, size: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    if label.certain is not None:
-        return np.full(size, 1.0 if label.certain else 0.0)
-    return rng.beta(label.alpha_pos, label.alpha_neg, size=size)
 
 
 @dataclass(frozen=True)
@@ -108,20 +106,23 @@ def _fold(n: CircuitNode, value) -> np.ndarray:
     acc = value(ch[0])
     if len(ch) == 1:
         return acc
-    op = np.multiply if n.kind is NodeKind.AND else np.add
+    op, iop = ((operator.mul, operator.imul) if n.kind is NodeKind.AND
+               else (operator.add, operator.iadd))
     acc = op(acc, value(ch[1]))
     for k in ch[2:]:
-        op(acc, value(k), out=acc)
+        acc = iop(acc, value(k))
     return acc
 
 
 def _eval_queries(c: Circuit, plan: _SweepPlan,
-                  leaf_probs: dict[int, np.ndarray], size: int
+                  leaf_probs: dict[int, np.ndarray],
+                  ones: np.ndarray, zeros: np.ndarray
                   ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Evidence root and each query's joint root over a batch of samples."""
+    """Evidence root and each query's joint root over a batch of samples.
+
+    ``ones`` and ``zeros`` are constant arrays of the batch size.
+    """
     nodes = c.nodes
-    ones = np.ones(size)
-    zeros = np.zeros(size)
     ev: list = [None] * len(nodes)
     for i in plan.order:
         n = nodes[i]
@@ -172,6 +173,8 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     the same seed.  Raises InconsistentEvidenceError when more than
     ``max_rejection_rate`` of the draws produce zero-probability evidence.
     """
+    import numpy as np
+
     queries = tuple(dict.fromkeys(queries))
     if not queries:
         raise ValueError("no queries given")
@@ -193,9 +196,16 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     total = 0
     while n_acc < n_samples:
         batch = n_samples - n_acc
-        leaf_probs = {v: _sample_leaf_probs(labels.label_of(v), batch, rng)
-                      for v in circuit_vars}
-        ev, joints = _eval_queries(c, plan, leaf_probs, batch)
+        leaf_probs = {}
+        for v in circuit_vars:
+            label = labels.label_of(v)
+            if label.certain is None:
+                leaf_probs[v] = rng.beta(label.alpha_pos, label.alpha_neg,
+                                         size=batch)
+            else:
+                leaf_probs[v] = np.full(batch, 1.0 if label.certain else 0.0)
+        ev, joints = _eval_queries(c, plan, leaf_probs, np.ones(batch),
+                                   np.zeros(batch))
         ok = ev > 0.0
         n_ok = int(ok.sum())
         rejections += batch - n_ok
@@ -243,6 +253,8 @@ def mc_strength(samples: np.ndarray,
     samples (zero variance) map to the certain sentinel's infinite
     strength.
     """
+    import numpy as np
+
     samples = np.asarray(samples, dtype=float)
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1)) if samples.size > 1 else 0.0

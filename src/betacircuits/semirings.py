@@ -86,28 +86,37 @@ def prob_semiring() -> SemiringSpec:
 # Subjective-logic opinions
 # ---------------------------------------------------------------------
 
+def _sl_is_zero(x: Opinion) -> bool:
+    # Both identities have u = 0; most opinions fail that first, cheap test.
+    return x.uncertainty == 0.0 and x == SL_ZERO
+
+
+def _sl_is_one(x: Opinion) -> bool:
+    return x.uncertainty == 0.0 and x == SL_ONE
+
+
 def _sl_plus(a: Opinion, b: Opinion) -> Opinion:
-    if a == SL_ZERO:
+    if _sl_is_zero(a):
         return b
-    if b == SL_ZERO:
+    if _sl_is_zero(b):
         return a
     return betacalc.sl_sum(a, b)
 
 
 def _sl_times(a: Opinion, b: Opinion) -> Opinion:
-    if a == SL_ONE:
+    if _sl_is_one(a):
         return b
-    if b == SL_ONE:
+    if _sl_is_one(b):
         return a
-    if a == SL_ZERO or b == SL_ZERO:
+    if _sl_is_zero(a) or _sl_is_zero(b):
         return SL_ZERO
     return betacalc.sl_product(a, b)
 
 
 def _sl_divide(a: Opinion, b: Opinion) -> Opinion:
-    if b == SL_ZERO:
+    if _sl_is_zero(b):
         raise InconsistentEvidenceError("zero-probability evidence")
-    if b == SL_ONE:
+    if _sl_is_one(b):
         return a
     if a == b:
         # Query implied by the evidence: conditional is certainly true.
@@ -126,7 +135,7 @@ def sl_semiring() -> SemiringSpec:
         times=_sl_times,
         divide=_sl_divide,
         from_label=betacalc.to_opinion,
-        is_zero=lambda v: v == SL_ZERO,
+        is_zero=_sl_is_zero,
         to_label=betacalc.from_opinion,
         mean_of=lambda v: v.projected,
     )

@@ -23,13 +23,15 @@ from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import LabelTable, parse_nnf, set_condition
 from betacircuits.compile import (Theory, eval_formula, f_and, f_iff, f_not,
                                   f_or, f_var, shannon_compile)
-from betacircuits.cpb import eval_cov, moment_sweep, shadow_circuit
+from betacircuits.cpb import eval_cov, shadow_circuit
 from betacircuits.examples import burglary_circuit, burglary_labels
 from betacircuits.harness import ExperimentConfig, run_experiment
 from betacircuits.mc import mc_eval
 from betacircuits.semirings import (InconsistentEvidenceError,
                                     conditioned_eval, evaluate, mm_semiring,
                                     prob_semiring)
+
+from dense_reference import moment_sweep
 
 
 def staged_burglary():

@@ -206,3 +206,42 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_infer_without_arrays_does_not_load_numpy(burglary_files, tmp_path):
+    # Only Monte Carlo, learning and the harness build arrays; importing the
+    # package and answering with any other backend must not load numpy.
+    circuit, labels = burglary_files
+    cov = tmp_path / "burglary.cov"
+    cov.write_text("1 2 0.001\n")
+    code = """
+import contextlib, io, sys
+import betacircuits
+from betacircuits.cli import main
+assert 'numpy' not in sys.modules, 'import betacircuits'
+circuit, labels, cov = sys.argv[1:]
+for extra in (["prob"], ["sl"], ["mm"], ["cpb"], ["cpb", "--cov", cov]):
+    argv = ["infer", "--circuit", circuit, "--labels", labels,
+            "--query", "1", "--backend", *extra]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, extra
+    assert 'numpy' not in sys.modules, extra
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(circuit), str(labels), str(cov)],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "ok"
+
+
+def test_mc_backend_output_is_pinned(burglary_files, capsys):
+    # numpy is imported on the first Monte Carlo call; the draw and the
+    # printed line stay those of a module-level import.
+    circuit, labels = burglary_files
+    rc, out, _ = run(capsys, "infer", "--circuit", circuit, "--labels", labels,
+                     "--query", "1", "--backend", "mc", "--samples", "2000",
+                     "--seed", "7")
+    assert rc == 0
+    assert out == ("0.3705776968552207 0.044368737761388936 "
+                   "1.5775777619675324 2.679499162399746\n")

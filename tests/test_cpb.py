@@ -13,11 +13,12 @@ from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
 from betacircuits.compile import (Theory, f_and, f_iff, f_not, f_or, f_var,
                                   shannon_compile)
 from betacircuits.cpb import (LeafCovariance, _conditioned_result, eval_cov,
-                              format_leaf_cov, moment_sweep, parse_leaf_cov,
-                              shadow_circuit)
+                              format_leaf_cov, parse_leaf_cov, shadow_circuit)
 from betacircuits.examples import burglary_circuit, burglary_labels
 from betacircuits.semirings import (InconsistentEvidenceError,
                                     conditioned_eval, prob_semiring)
+
+from dense_reference import moment_sweep
 
 # Frozen oracle values for the burglary query (derived from independent
 # hand arithmetic, enumeration, and the point-probability backend).

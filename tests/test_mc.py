@@ -159,7 +159,7 @@ class TestSharedDraw:
                      for v in variables[1:]}
             queries = [v * rng.choice((1, -1)) for v in variables]
             ev, joints = _eval_queries(c, _SweepPlan.build(c, queries),
-                                       probs, 64)
+                                       probs, np.ones(64), np.zeros(64))
             assert ev.tobytes() == full_sweep(c, probs, 64).tobytes()
             for q in queries:
                 want = full_sweep(c, probs, 64, frozenset((-q,)))
