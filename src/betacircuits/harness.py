@@ -17,24 +17,40 @@ conditionals:
   golden-standard Monte Carlo run on the same fitted labels;
 * per-query wall-clock distributions.
 
-The golden run makes one ``mc_eval_queries`` call per label set: every
-query of the set is scored on one shared draw of the leaves (common random
-numbers).  Three random streams feed a run.  The label stream
-``default_rng(seed)`` draws the truths, the evidence and the observations;
-the golden run and the ``mc:<k>`` backend each draw from their own child
-of ``SeedSequence(seed)``.  The cpb, mm and sl records therefore do not
-depend on any Monte Carlo setting.
+A run has three stages.
+
+1. *Label stream*, in the calling process.  ``default_rng(seed)`` draws
+   every label set up front: the truths, the evidence, the staged
+   circuits, the true conditionals and the fitted labels.
+2. *Tasks*.  The golden run (one ``mc_eval_queries`` call per label set:
+   every query of the set is scored on one shared draw of the leaves) owns
+   one child of ``SeedSequence(seed)``.  All ``mc:<k>`` backends form one
+   task, which owns the other child and takes turns per label set in the
+   order of ``backends``.  Each of cpb, mm and sl is a task of its own and
+   draws nothing, so its records do not depend on any Monte Carlo
+   setting.  Where the platform can fork, the tasks run in forked workers,
+   one per task up to the CPUs this process may use, golden run first;
+   elsewhere they run in-process, in the same order.  The pool lives only
+   for the call.  A task's exception reaches the caller with its type.
+3. *Merge*, in the calling process.  Each record is tagged with its
+   (label-set index, query), which finds its golden strength; each
+   backend's records keep the label-set order, and ``_aggregate`` scores
+   them.
 
 Everything except the wall-clock numbers is deterministic for a fixed
 seed, and the metric CSVs (rmse / calibration / correlation) are emitted
-byte-identically across runs.
+byte-identically across runs, whether the tasks ran in workers or
+in-process.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -273,17 +289,32 @@ def _draw_truth(model: ExampleModel, rng: np.random.Generator
     return truth
 
 
-def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
-    """Run the full protocol and aggregate per-backend metrics."""
-    model = _resolve_model(cfg)
+@dataclass
+class _LabelSet:
+    """One repetition's inputs: staged circuits, true conditionals, labels."""
+
+    evidence_circuit: Circuit
+    staged: dict[int, Circuit]
+    true_cond: dict[int, float]
+    labels: LabelTable
+
+
+@dataclass
+class _Job:
+    """What every task reads; forked workers inherit it without pickling."""
+
+    queries: tuple[int, ...]
+    sets: list[_LabelSet]
+    golden_samples: int
+    golden_rng: np.random.Generator
+    mc_rng: np.random.Generator
+
+
+def _label_sets(cfg: ExperimentConfig, model: ExampleModel) -> list[_LabelSet]:
+    """Every label set of the run, drawn from the label stream in order."""
     rng = np.random.default_rng(cfg.seed)
-    golden_rng, mc_rng = (np.random.default_rng(s) for s in
-                          np.random.SeedSequence(cfg.seed).spawn(2))
     n_truths, n_reps = cfg.trial_shape
-
-    records: dict[str, list[TrialRecord]] = {b: [] for b in cfg.backends}
-    failures: dict[str, int] = {b: 0 for b in cfg.backends}
-
+    sets = []
     for _ in range(n_truths):
         truth = _draw_truth(model, rng)
         ev = {v: bool(rng.integers(2)) for v in model.random_evidence_vars}
@@ -297,28 +328,114 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
             cq = set_condition(circuit, query=q, evidence=model.prob_evidence)
             staged[q] = cq
             true_cond[q] = conditioned_eval(cq, prob_semiring(), point)
-
         for _ in range(n_reps):
             data, variables = sample_observations(truth, cfg.n_ins, rng)
             labels, _ = fit_complete(data, variables,
                                      tied_groups=model.tied_groups)
-            golden: dict[int, float] = {}
-            if cfg.golden_samples > 0:
-                runs = mc_eval_queries(evidence_circuit, model.query_vars,
-                                       labels, cfg.golden_samples,
-                                       seed=golden_rng)
-                golden = {q: mc_strength(r.samples) for q, r in runs.items()}
-            for b in cfg.backends:
-                for q in model.query_vars:
-                    try:
-                        rec = _run_backend(b, staged[q], labels,
-                                           true_cond[q], mc_rng)
-                    except (InconsistentEvidenceError, ValueError,
-                            ArithmeticError):
-                        failures[b] += 1
-                        continue
-                    rec.golden_strength = golden.get(q)
-                    records[b].append(rec)
+            sets.append(_LabelSet(evidence_circuit, staged, true_cond, labels))
+    return sets
+
+
+def _golden_task(job: _Job) -> dict[tuple[int, int], float]:
+    """Golden strength per (label-set index, query)."""
+    golden = {}
+    for i, s in enumerate(job.sets):
+        runs = mc_eval_queries(s.evidence_circuit, job.queries, s.labels,
+                               job.golden_samples, seed=job.golden_rng)
+        for q, r in runs.items():
+            golden[i, q] = mc_strength(r.samples)
+    return golden
+
+
+def _backend_task(job: _Job, names: tuple[str, ...]
+                  ) -> tuple[dict[str, list], dict[str, int]]:
+    """Records tagged (label-set index, query, record), and failure counts.
+
+    Backends of one task take turns per label set, as ``mc:<k>`` backends
+    must to share the ``mc`` stream in a fixed order.
+    """
+    records: dict[str, list] = {b: [] for b in names}
+    failures = {b: 0 for b in names}
+    for i, s in enumerate(job.sets):
+        for b in names:
+            for q in job.queries:
+                try:
+                    rec = _run_backend(b, s.staged[q], s.labels,
+                                       s.true_cond[q], job.mc_rng)
+                except (InconsistentEvidenceError, ValueError,
+                        ArithmeticError):
+                    failures[b] += 1
+                    continue
+                records[b].append((i, q, rec))
+    return records, failures
+
+
+#: Tasks run in forked workers where the platform can fork, else in-process.
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+_worker_job: Optional[_Job] = None   # set in forked workers only, by _adopt
+
+
+def _adopt(job: _Job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _call(fn, *args):
+    return fn(_worker_job, *args)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_tasks(job: _Job, tasks: list[tuple]) -> list:
+    """Each ``fn(job, *args)`` result, in task order.
+
+    One forked worker per task up to the usable CPUs.  A task's exception
+    re-raises here with its type; the pool is joined before this returns.
+    """
+    if not _FORK or not tasks:
+        return [fn(job, *args) for fn, *args in tasks]
+    with ProcessPoolExecutor(min(len(tasks), _usable_cpus()),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(job,)) as pool:
+        futures = [pool.submit(_call, *task) for task in tasks]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
+
+
+def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
+    """Run the full protocol and aggregate per-backend metrics."""
+    model = _resolve_model(cfg)
+    golden_rng, mc_rng = (np.random.default_rng(s) for s in
+                          np.random.SeedSequence(cfg.seed).spawn(2))
+    job = _Job(model.query_vars, _label_sets(cfg, model),
+               cfg.golden_samples, golden_rng, mc_rng)
+
+    mc_names = tuple(b for b in cfg.backends if b.startswith("mc:"))
+    tasks: list[tuple] = [(_golden_task,)] if cfg.golden_samples > 0 else []
+    if mc_names:
+        tasks.append((_backend_task, mc_names))
+    # A backend listed twice still answers twice per label set.
+    tasks += [(_backend_task, (b,) * cfg.backends.count(b))
+              for b in dict.fromkeys(cfg.backends) if b not in mc_names]
+    results = _run_tasks(job, tasks)
+
+    golden = results.pop(0) if cfg.golden_samples > 0 else {}
+    records: dict[str, list[TrialRecord]] = {}
+    failures: dict[str, int] = {}
+    for tagged, fails in results:
+        failures.update(fails)
+        for b, recs in tagged.items():
+            for i, q, rec in recs:
+                rec.golden_strength = golden.get((i, q))
+            records[b] = [rec for _, _, rec in recs]
 
     metrics = {b: _aggregate(b, records[b], failures[b], cfg.gammas)
                for b in cfg.backends}
@@ -337,7 +454,7 @@ def _aggregate(name: str, recs: list[TrialRecord], fails: int,
     variances = np.array([r.variance for r in recs])
     actual = float(np.sqrt(np.mean((means - truths) ** 2)))
     predicted = float(np.sqrt(np.mean(variances)))
-    coverage = {g: _coverage(recs, g) for g in gammas}
+    coverage = _coverage(recs, gammas)
     pearson = _pearson(recs)
     secs = np.array([r.seconds for r in recs])
     quants = {"min": float(secs.min()),
@@ -350,8 +467,10 @@ def _aggregate(name: str, recs: list[TrialRecord], fails: int,
                           coverage, pearson, quants)
 
 
-def _coverage(recs: list[TrialRecord], gamma: float) -> float:
-    """Fraction of trials whose central beta interval covers the truth.
+def _coverage(recs: list[TrialRecord], gammas: tuple[float, ...]
+              ) -> dict[float, float]:
+    """Per gamma, the fraction of trials whose central beta interval
+    covers the truth.
 
     Certain labels (infinite alphas) cover only a truth equal to their mean.
     """
@@ -360,13 +479,15 @@ def _coverage(recs: list[TrialRecord], gamma: float) -> float:
     a = np.array([r.alpha_pos for r in recs])
     b = np.array([r.alpha_neg for r in recs])
     finite = np.isfinite(a) & np.isfinite(b)
-    hits = int(np.count_nonzero(np.abs(truth - mean)[~finite] < 1e-9))
+    hits = np.full(len(gammas), np.count_nonzero(
+        np.abs(truth - mean)[~finite] < 1e-9))
     if finite.any():
         t, a, b = truth[finite], a[finite], b[finite]
-        lo = beta_dist.ppf((1.0 - gamma) / 2.0, a, b)
-        hi = beta_dist.ppf((1.0 + gamma) / 2.0, a, b)
-        hits += int(np.count_nonzero((lo <= t) & (t <= hi)))
-    return hits / len(recs)
+        g = np.array(gammas)[:, None]
+        lo = beta_dist.ppf((1.0 - g) / 2.0, a, b)
+        hi = beta_dist.ppf((1.0 + g) / 2.0, a, b)
+        hits += np.count_nonzero((lo <= t) & (t <= hi), axis=1)
+    return {g: int(h) / len(recs) for g, h in zip(gammas, hits)}
 
 
 def _pearson(recs: list[TrialRecord]) -> Optional[float]:

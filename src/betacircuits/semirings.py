@@ -24,6 +24,7 @@ children is fixed to file order for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable
 
 from . import betacalc
@@ -198,15 +199,18 @@ def conditioned_eval(c: Circuit, spec: SemiringSpec, labels: LabelTable):
     """Conditional label of the staged query given the staged evidence.
 
     Computes the joint pass (negated-query leaves forced to the additive
-    identity) and the evidence pass, and divides.  Requires a query set by
+    identity) and the evidence pass, and divides; the passes share one
+    conversion of each literal's label.  Requires a query set by
     ``set_condition``; raises InconsistentEvidenceError when the evidence
     evaluates to the additive identity.
     """
     if c.query_literal is None:
         raise ValueError("circuit has no staged query; call set_condition first")
-    joint = evaluate(c, spec, labels,
-                     zero_literals=frozenset((-c.query_literal,)))
-    ev = evaluate(c, spec, labels)
+    sweep = partial(eval_circuit, c, spec.zero, spec.one, spec.plus,
+                    spec.times, cache(lambda lit: spec.from_label(
+                        labels.label_of(lit))))
+    joint = sweep(zero_literals=frozenset((-c.query_literal,)))
+    ev = sweep()
     if spec.is_zero(ev):
         raise InconsistentEvidenceError("inconsistent evidence")
     return spec.divide(joint, ev)

@@ -1,6 +1,20 @@
-"""Shared test inputs."""
+"""Shared test inputs and checks."""
+
+import multiprocessing
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Fail a test that leaves a child process running."""
+    yield
+    stray = multiprocessing.active_children()
+    for proc in stray:
+        proc.terminate()
+        proc.join()
+    if stray:
+        pytest.fail(f"child processes left running: {stray}")
 
 
 def block_nnf(k: int) -> str:

@@ -1,13 +1,18 @@
 """Tests for the calibration experiment harness."""
 
+import hashlib
 import json
-from pathlib import Path
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from betacircuits import harness
 from betacircuits.harness import (DEFAULT_GAMMAS, ExperimentConfig,
                                   run_experiment)
+from betacircuits.semirings import InconsistentEvidenceError
+
+METRIC_CSVS = ("rmse.csv", "calibration.csv", "correlation.csv")
 
 
 def small_config(**overrides):
@@ -160,11 +165,97 @@ class TestRun:
         assert m.trials + m.failures == 30
 
 
+def metric_csvs(cfg, outdir):
+    run_experiment(cfg).write_csvs(outdir)
+    return {name: (outdir / name).read_bytes() for name in METRIC_CSVS}
+
+
+def failing_blocks_config(path):
+    # At 230 blocks cpb's E[root]^4 underflows on 8 of the 30 label sets,
+    # so its records skip label sets and must find their golden strengths
+    # by (label-set index, query) tag.
+    return ExperimentConfig(circuit_file=str(path), query_vars=(1,),
+                            n_ins=10, truth_draws=6, repetitions=5,
+                            backends=("cpb",), seed=3, golden_samples=100)
+
+
+class TestWorkers:
+    @pytest.mark.skipif(not harness._FORK, reason="needs the fork start method")
+    def test_workers_match_in_process(self, tmp_path, make_block_nnf,
+                                      monkeypatch):
+        blocks = tmp_path / "blocks.nnf"
+        blocks.write_text(make_block_nnf(230))
+        mixed = ("cpb", "mm", "sl", "mc:200", "mc:300")
+        cells = {
+            "net1": small_config(model="net1", truth_draws=10, repetitions=3,
+                                 backends=mixed),
+            "smokers": small_config(model="smokers", truth_draws=6,
+                                    repetitions=5, backends=mixed,
+                                    golden_samples=300),
+            "blocks": failing_blocks_config(blocks),
+        }
+        pools = []
+
+        class CountedPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        for tag, cfg in cells.items():
+            forked = metric_csvs(cfg, tmp_path / tag / "forked")
+            monkeypatch.setattr(harness, "_FORK", False)
+            in_process = metric_csvs(cfg, tmp_path / tag / "in-process")
+            monkeypatch.setattr(harness, "_FORK", True)
+            assert forked == in_process, tag
+        assert len(pools) == len(cells)
+
+    def test_mixed_cell_output_is_pinned(self, tmp_path):
+        # Two mc backends between the analytic ones: the mc stream is
+        # shared in the order of the backends, per label set.
+        cfg = small_config(truth_draws=10, repetitions=3, seed=13,
+                           backends=("mc:200", "cpb", "mm", "mc:300", "sl"))
+        out = metric_csvs(cfg, tmp_path)
+        assert out["rmse.csv"] == (
+            b"backend,n_ins,trials,failures,actual_rmse,predicted_rmse\r\n"
+            b"cpb,20,30,0,0.09557069832,0.0957216272\r\n"
+            b"mc:200,20,30,0,0.09281393449,0.09480569066\r\n"
+            b"mc:300,20,30,0,0.09494215912,0.09361948909\r\n"
+            b"mm,20,30,0,0.09557069832,0.1517343462\r\n"
+            b"sl,20,30,0,0.2666689674,0.1988785086\r\n")
+        assert out["correlation.csv"] == (
+            b"backend,pearson_r\r\ncpb,0.9771166818\r\n"
+            b"mc:200,0.9573833056\r\nmc:300,0.9417351425\r\n"
+            b"mm,0.6798739388\r\nsl,-0.1364038318\r\n")
+        assert hashlib.sha256(out["calibration.csv"]).hexdigest() == (
+            "e4be9bf957a74d84945a33b71258da5288e797501c5c0ae3e94892f6dfd780df")
+
+    def test_failed_trials_keep_their_golden_strengths(self, tmp_path,
+                                                        make_block_nnf):
+        blocks = tmp_path / "blocks.nnf"
+        blocks.write_text(make_block_nnf(230))
+        out = metric_csvs(failing_blocks_config(blocks), tmp_path)
+        assert out["rmse.csv"] == (
+            b"backend,n_ins,trials,failures,actual_rmse,predicted_rmse\r\n"
+            b"cpb,10,22,8,0.1812751889,0.1505009243\r\n")
+        assert out["correlation.csv"] == (
+            b"backend,pearson_r\r\ncpb,-0.2854898709\r\n")
+
+    def test_task_error_reraises_and_leaves_no_child(self, monkeypatch):
+        # A forked worker inherits the patch; its error reaches the caller
+        # with its type, as a golden-run error did before the workers.
+        def fail(*args, **kwargs):
+            raise InconsistentEvidenceError("golden evidence")
+
+        monkeypatch.setattr(harness, "mc_eval_queries", fail)
+        with pytest.raises(InconsistentEvidenceError, match="golden evidence"):
+            run_experiment(small_config())
+        assert multiprocessing.active_children() == []
+
+
 class TestCoverage:
     def test_vectorized_matches_scalar_loop(self, monkeypatch):
         from scipy.stats import beta
-
-        from betacircuits import harness
 
         captured = []
         aggregate = harness._aggregate
@@ -192,5 +283,6 @@ class TestCoverage:
             return hits / len(recs)
 
         assert len(recs) > 90
+        coverage = harness._coverage(recs, DEFAULT_GAMMAS)
         for gamma in DEFAULT_GAMMAS:
-            assert harness._coverage(recs, gamma) == scalar(gamma)
+            assert coverage[gamma] == scalar(gamma)
