@@ -37,13 +37,16 @@ adding the matching cross terms everywhere moves the burglary posterior
 variance further from Monte Carlo (0.0505 against 0.0446, where first
 order gives 0.0471).
 
-The conditional mean is E[X]/E[Y] and the variance is the first-order
-expansion of X/Y around the means:
-
-    var = var[X]/E[Y]^2 + E[X]^2 var[Y]/E[Y]^4
-          - 2 E[X] cov[X,Y]/E[Y]^3
-
-clamped to the [0,1]-support bound before beta moment matching.
+The conditional mean is mu = E[X]/E[Y], and its first-order variance is
+rho' S rho with rho_v = d(X/Y)/d theta_v = (g_X[v] - mu g_Y[v]) / E[Y],
+the per-parameter delta method of Van Allen, Singh, Greiner & Hooper
+(AIJ 2008).  With independent leaves each term var_v rho_v^2 is
+non-negative, so the sum cannot cancel, as the equal three-term expansion
+over var[X], var[Y] and cov[X,Y] does near a conditional of 1.  And rho
+divides by E[Y] once, where that expansion needs E[Y]^4, which underflows
+to 0.0 below E[Y] ~ 1e-81.  A subnormal E[Y] (below ~2.2e-308) is
+reported as an ArithmeticError, as its gradients have lost bits.  The
+variance is clamped to [0, mu (1 - mu)] before beta moment matching.
 
 ``shadow_circuit`` duplicates the negated-query leaves and their
 ancestors, so one circuit carries both roots.  The dense O(n^2) reference,
@@ -55,6 +58,7 @@ tests in ``tests/dense_reference.py``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -263,28 +267,6 @@ def _gate(kind: NodeKind, child_means: list[float]) -> tuple[float, list[float]]
     return prefix[k], [prefix[i] * suffix[i + 1] for i in range(k)]
 
 
-def _conditioned_result(mean_num: float, mean_den: float,
-                        var_num: float, var_den: float, cov_nd: float,
-                        base_rate: float, prior_weight: float) -> QueryResult:
-    if mean_den == 0.0:
-        raise InconsistentEvidenceError("inconsistent evidence")
-    mean = mean_num / mean_den
-    var = (var_num / mean_den ** 2
-           + mean_num ** 2 * var_den / mean_den ** 4
-           - 2.0 * mean_num * cov_nd / mean_den ** 3)
-    bound = max(mean, 0.0) * max(1.0 - mean, 0.0)
-    clamped = False
-    if var < 0.0:
-        # First-order expansion can slip below 0 by approximation error.
-        clamped = var < -1e-15
-        var = 0.0
-    elif var > bound:
-        clamped = True
-        var = bound
-    matched = betacalc.moment_match(Moments(mean, var), base_rate, prior_weight)
-    return QueryResult(mean, var, matched, clamped)
-
-
 def _root_gradient(c: Circuit, leaf_means: list[float],
                    zeroed: frozenset[int]) -> tuple[float, dict[int, float]]:
     """Root mean and its derivative with respect to each leaf variable.
@@ -322,36 +304,38 @@ def _root_gradient(c: Circuit, leaf_means: list[float],
 
 
 def eval_cov(sc: ShadowedCircuit, labels: LabelTable,
-             leaf_cov: Optional[LeafCovariance] = None,
-             base_rate: float = betacalc.DEFAULT_BASE_RATE,
-             prior_weight: float = betacalc.DEFAULT_PRIOR_WEIGHT) -> QueryResult:
+             leaf_cov: Optional[LeafCovariance] = None) -> QueryResult:
     """Conditioned mean and first-order variance via root gradients.
 
     Only ``sc.circuit`` is read.  The numerator X is its root with the
     negated-query leaves (the ones ``shadow_circuit`` stubs) pinned to 0,
     the denominator Y its root as is.  With g_X and g_Y their gradients
-    over the leaf variables, var[X] = g_X' S g_X, var[Y] = g_Y' S g_Y and
-    cov[X,Y] = g_X' S g_Y, where S holds the label variances on its
-    diagonal and ``leaf_cov``'s cross entries off it (default: independent
-    leaves).  O(n) time and memory.
+    over the leaf variables and mu = E[X]/E[Y], the ratio gradient is
+    rho = (g_X - mu g_Y)/E[Y] and the variance is rho' S rho, where S
+    holds the label variances on its diagonal and ``leaf_cov``'s cross
+    entries off it (default: independent leaves).  O(n) time and memory.
     """
-    if leaf_cov is None:
-        leaf_cov = LeafCovariance()
     c = sc.circuit
     qneg = frozenset(c.literal_leaves(-c.query_literal))
     leaf_means = _leaf_means(c, labels)
     mean_den, g_den = _root_gradient(c, leaf_means, frozenset())
     mean_num, g_num = _root_gradient(c, leaf_means, qneg)
-    variances = {v: labels.variance_of(v) for v in g_den}
-
-    def form(ga: dict[int, float], gb: dict[int, float]) -> float:
-        total = math.fsum(s * ga.get(v, 0.0) * gb.get(v, 0.0)
-                          for v, s in variances.items())
-        for (i, j), cij in leaf_cov.cross_entries.items():
-            total += cij * (ga.get(i, 0.0) * gb.get(j, 0.0)
-                            + ga.get(j, 0.0) * gb.get(i, 0.0))
-        return total
-
-    return _conditioned_result(
-        mean_num, mean_den, form(g_num, g_num), form(g_den, g_den),
-        form(g_num, g_den), base_rate, prior_weight)
+    if mean_den == 0.0:
+        raise InconsistentEvidenceError("inconsistent evidence")
+    if mean_den < sys.float_info.min:
+        # A subnormal E[Y] and its gradients keep too few bits for rho.
+        raise ArithmeticError(f"E[evidence] = {mean_den!r} is subnormal")
+    mean = mean_num / mean_den
+    # The numerator's leaves are a subset of the denominator's.
+    rho = {v: (g_num.get(v, 0.0) - mean * d) / mean_den
+           for v, d in g_den.items()}
+    terms = [labels.variance_of(v) * r * r for v, r in rho.items()]
+    if leaf_cov is not None:
+        terms += [2.0 * cij * rho.get(i, 0.0) * rho.get(j, 0.0)
+                  for (i, j), cij in leaf_cov.cross_entries.items()]
+    var = math.fsum(terms)
+    bound = max(mean, 0.0) * max(1.0 - mean, 0.0)
+    clamped = not 0.0 <= var <= bound
+    var = min(max(var, 0.0), bound)
+    return QueryResult(mean, var, betacalc.moment_match(Moments(mean, var)),
+                       clamped)

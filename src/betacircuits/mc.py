@@ -38,6 +38,10 @@ from .semirings import InconsistentEvidenceError
 if TYPE_CHECKING:
     import numpy as np
 
+#: Past this share of rejected draws the evidence is reported as almost
+#: surely inconsistent.
+MAX_REJECTION_RATE = 0.99
+
 
 @dataclass
 class MCResult:
@@ -162,8 +166,8 @@ def _eval_queries(c: Circuit, plan: _SweepPlan,
 
 def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
                     n_samples: int,
-                    seed: int | np.random.Generator | None = 0,
-                    max_rejection_rate: float = 0.99) -> dict[int, MCResult]:
+                    seed: int | np.random.Generator | None = 0
+                    ) -> dict[int, MCResult]:
     """Monte Carlo estimates of several queries on one draw of the leaves.
 
     ``c`` carries the evidence (as set by ``set_condition``); its staged
@@ -171,7 +175,7 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     maps each to its estimate.  All queries share the leaf draws and the
     rejections, and each query's samples are those ``mc_eval`` returns for
     the same seed.  Raises InconsistentEvidenceError when more than
-    ``max_rejection_rate`` of the draws produce zero-probability evidence.
+    ``MAX_REJECTION_RATE`` of the draws produce zero-probability evidence.
     """
     import numpy as np
 
@@ -215,7 +219,8 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
             for q, joint in joints.items():
                 accepted[q].append(joint[ok] / ev)
             n_acc += n_ok
-        if total >= max(100, 2 * n_samples) and rejections / total > max_rejection_rate:
+        if (total >= max(100, 2 * n_samples)
+                and rejections / total > MAX_REJECTION_RATE):
             raise InconsistentEvidenceError(
                 f"evidence almost surely inconsistent: "
                 f"{rejections}/{total} samples rejected")
@@ -230,23 +235,20 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
 
 
 def mc_eval(c: Circuit, labels: LabelTable, n_samples: int,
-            seed: int | np.random.Generator | None = 0,
-            max_rejection_rate: float = 0.99) -> MCResult:
+            seed: int | np.random.Generator | None = 0) -> MCResult:
     """Monte Carlo estimate of the conditioned query on a staged circuit.
 
     Requires a query staged by ``set_condition``.  Deterministic for a
     fixed seed.  Raises InconsistentEvidenceError when more than
-    ``max_rejection_rate`` of the draws produce zero-probability evidence.
+    ``MAX_REJECTION_RATE`` of the draws produce zero-probability evidence.
     """
     if c.query_literal is None:
         raise ValueError("circuit has no staged query; call set_condition first")
-    return mc_eval_queries(c, (c.query_literal,), labels, n_samples, seed,
-                           max_rejection_rate)[c.query_literal]
+    return mc_eval_queries(c, (c.query_literal,), labels, n_samples,
+                           seed)[c.query_literal]
 
 
-def mc_strength(samples: np.ndarray,
-                base_rate: float = betacalc.DEFAULT_BASE_RATE,
-                prior_weight: float = betacalc.DEFAULT_PRIOR_WEIGHT) -> float:
+def mc_strength(samples: np.ndarray) -> float:
     """Dirichlet strength of the beta fitted to a sample set.
 
     s = mean (1 - mean) / var - 1 with the usual prior floors; degenerate
@@ -260,5 +262,5 @@ def mc_strength(samples: np.ndarray,
     var = float(np.var(samples, ddof=1)) if samples.size > 1 else 0.0
     if var <= 0.0:
         return float("inf")
-    label = betacalc.moment_match(Moments(mean, var), base_rate, prior_weight)
+    label = betacalc.moment_match(Moments(mean, var))
     return label.strength

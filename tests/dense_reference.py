@@ -5,6 +5,10 @@ against every other node of a shadowed circuit (cov[n,z] = sum_c w_c
 cov[c,z], with the gate weights of ``cpb._gate``).  It yields the same
 first-order moments as ``cpb.eval_cov``'s gradient form, and lets the
 tests inspect the covariance of any two nodes.
+
+``conditioned_moments`` conditions on the dense matrix with the
+three-term delta formula over var[X], var[Y] and cov[X, Y], a different
+algebra from the ratio gradient that ``cpb.eval_cov`` uses.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from betacircuits.circuit import CircuitNode, LabelTable
 from betacircuits.cpb import (LeafCovariance, ShadowedCircuit, _gate,
                               _leaf_means, _stochastic_leaves)
+from betacircuits.semirings import InconsistentEvidenceError
 
 
 def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
@@ -66,3 +71,28 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
         cov[nid, nid] = diag
 
     return means, cov
+
+
+def conditioned_moments(sc: ShadowedCircuit, labels: LabelTable,
+                        leaf_cov: Optional[LeafCovariance] = None
+                        ) -> tuple[float, float]:
+    """Mean and first-order variance of X/Y from the dense matrix.
+
+    X is the shadow root and Y the base root.  The variance is the
+    delta-method expansion
+
+        var[X]/E[Y]^2 + E[X]^2 var[Y]/E[Y]^4 - 2 E[X] cov[X,Y]/E[Y]^3,
+
+    clamped to [0, mean (1 - mean)] as ``eval_cov`` clamps its own.
+    """
+    means, cov = moment_sweep(sc, labels, leaf_cov)
+    num, den = sc.shadow_root, sc.base_root
+    mx, my = float(means[num]), float(means[den])
+    if my == 0.0:
+        raise InconsistentEvidenceError("inconsistent evidence")
+    mean = mx / my
+    var = (float(cov[num, num]) / my ** 2
+           + mx ** 2 * float(cov[den, den]) / my ** 4
+           - 2.0 * mx * float(cov[num, den]) / my ** 3)
+    bound = max(mean, 0.0) * max(1.0 - mean, 0.0)
+    return mean, min(max(var, 0.0), bound)

@@ -9,6 +9,7 @@ import pytest
 
 from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import LabelTable, format_label_table, format_nnf
+from betacircuits import cli
 from betacircuits.cli import main
 from betacircuits.examples import burglary_circuit, burglary_labels
 
@@ -114,10 +115,23 @@ class TestInfer:
         assert rc == 3
         assert "error:" in err
 
-    def test_underflow_is_a_numerical_error(self, tmp_path, make_block_nnf,
-                                            capsys):
-        # 300 blocks with Beta(5,5) labels: E[root] = 0.5^300, whose fourth
-        # power in cpb's conditioning division underflows to 0.0.
+    def test_arithmetic_error_is_a_numerical_failure(self, burglary_files,
+                                                      monkeypatch, capsys):
+        def underflow(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "eval_cov", underflow)
+        circuit, labels = burglary_files
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "1",
+                           "--backend", "cpb")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: numerical failure: float division by zero\n"
+
+    def test_300_blocks_answer(self, tmp_path, make_block_nnf, capsys):
+        # E[root] = 0.5^300 with Beta(5,5) labels; the other blocks cancel
+        # from the conditional, which keeps the one-block mean and variance.
         k = 300
         circuit = tmp_path / "blocks.nnf"
         circuit.write_text(make_block_nnf(k))
@@ -129,12 +143,13 @@ class TestInfer:
         rc, out, err = run(capsys, "infer", "--circuit", circuit,
                            "--labels", labels, "--evidence", cond,
                            "--backend", "cpb")
-        assert rc == 2
-        assert out == ""
-        # 900 variables: validate's determinism warning comes first.
-        warning, error = err.splitlines()
-        assert warning.startswith("warning: determinism not checked:")
-        assert error.startswith("error: numerical failure:")
+        assert rc == 0
+        mean, var = (float(f) for f in out.split()[:2])
+        assert mean == pytest.approx(0.5, rel=1e-12)
+        assert var == pytest.approx(3 / 88, rel=1e-12)
+        # 900 variables: validate's determinism warning is all of stderr.
+        assert err.startswith("warning: determinism not checked:")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("backend", ["sl", "cpb", "mm", "prob"])
     def test_query_implied_by_evidence(self, burglary_files, tmp_path,

@@ -2,23 +2,23 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from betacircuits.betacalc import (DEFAULT_BASE_RATE, DEFAULT_PRIOR_WEIGHT,
-                                   BetaLabel)
+from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
                                   parse_nnf, set_condition)
 from betacircuits.compile import (Theory, f_and, f_iff, f_not, f_or, f_var,
                                   shannon_compile)
-from betacircuits.cpb import (LeafCovariance, _conditioned_result, eval_cov,
-                              format_leaf_cov, parse_leaf_cov, shadow_circuit)
+from betacircuits.cpb import (LeafCovariance, eval_cov, format_leaf_cov,
+                              parse_leaf_cov, shadow_circuit)
 from betacircuits.examples import burglary_circuit, burglary_labels
 from betacircuits.semirings import (InconsistentEvidenceError,
                                     conditioned_eval, prob_semiring)
 
-from dense_reference import moment_sweep
+from dense_reference import conditioned_moments, moment_sweep
 
 # Frozen oracle values for the burglary query (derived from independent
 # hand arithmetic, enumeration, and the point-probability backend).
@@ -246,22 +246,11 @@ class TestProperties:
             eval_cov(shadow_circuit(dead), LabelTable({1: BetaLabel(2, 2)}))
 
 
-def dense_reference(sc, labels, leaf_cov=None):
-    """The conditioned result from the full covariance matrix."""
-    means, cov = moment_sweep(sc, labels, leaf_cov)
-    num, den = sc.shadow_root, sc.base_root
-    return _conditioned_result(
-        float(means[num]), float(means[den]), float(cov[num, num]),
-        float(cov[den, den]), float(cov[num, den]),
-        DEFAULT_BASE_RATE, DEFAULT_PRIOR_WEIGHT)
-
-
 def assert_matches_dense(sc, labels, leaf_cov=None):
-    ref = dense_reference(sc, labels, leaf_cov)
+    mean, variance = conditioned_moments(sc, labels, leaf_cov)
     res = eval_cov(sc, labels, leaf_cov)
-    assert res.mean == ref.mean
-    assert abs(res.variance - ref.variance) <= max(1e-12 * ref.variance,
-                                                   1e-15)
+    assert res.mean == mean
+    assert abs(res.variance - variance) <= max(1e-12 * variance, 1e-15)
     return res
 
 
@@ -285,7 +274,7 @@ class TestGradientMatchesDense:
             staged = set_condition(c, query=rng.choice(variables))
             sc = shadow_circuit(staged)
             try:
-                dense_reference(sc, labels)
+                conditioned_moments(sc, labels)
             except InconsistentEvidenceError:
                 with pytest.raises(InconsistentEvidenceError):
                     eval_cov(sc, labels)
@@ -298,13 +287,38 @@ class TestGradientMatchesDense:
                "A 2 0 1\nA 2 4 2\nA 2 4 3\nO 3 2 5 6\n")
         labels = random_labels(rng, (1, 2, 3))
         cov = LeafCovariance({(1, 2): 0.005, (2, 3): -0.003})
-        # Query 1 has no negated leaf (the conditional is 1); query 3 does,
-        # and there the cross entries move the variance.
+        # Query 1 has no negated leaf (the conditional is 1).
         assert_matches_dense(shadow_circuit(
             set_condition(parse_nnf(nnf), query=1)), labels, cov)
+        # Query 3's conditional is theta_3 itself: rho_1 = rho_2 = 0, so no
+        # cross entry can move its variance off var[theta_3].
         sc = shadow_circuit(set_condition(parse_nnf(nnf), query=3))
-        res = assert_matches_dense(sc, labels, cov)
-        assert res.variance != eval_cov(sc, labels).variance
+        for leaf_cov in (None, cov):
+            res = assert_matches_dense(sc, labels, leaf_cov)
+            assert abs(res.variance - labels.variance_of(3)) <= 1e-15
+
+    def test_cross_entry_adds_its_rho_term(self, make_block_nnf):
+        # One block (x and y) or (not x and z) with query x: the conditional
+        # is xy / (xy + (1 - x) z), whose gradient rho has a closed form.
+        rng = random.Random(13)
+        labels = random_labels(rng, (1, 2, 3))
+        x, y, z = (labels.mean_of(v) for v in (1, 2, 3))
+        den = x * y + (1 - x) * z
+        rho = {1: y * z / den ** 2, 2: x * (1 - x) * z / den ** 2,
+               3: -x * y * (1 - x) / den ** 2}
+        sc = shadow_circuit(set_condition(parse_nnf(make_block_nnf(1)),
+                                          query=1))
+        base = assert_matches_dense(sc, labels)
+        assert base.variance == pytest.approx(
+            sum(labels.variance_of(v) * r * r for v, r in rho.items()),
+            rel=1e-12)
+        for (i, j), cij in (((1, 2), 0.004), ((2, 3), -0.003),
+                            ((1, 3), 0.002)):
+            res = assert_matches_dense(sc, labels,
+                                       LeafCovariance({(i, j): cij}))
+            assert not res.variance_clamped
+            assert res.variance - base.variance == pytest.approx(
+                2 * cij * rho[i] * rho[j], rel=1e-12)
 
     def test_deep_and_chain(self):
         # AND(...AND(AND(l1, l2), l3)..., l24): 23 nested gates.
@@ -339,3 +353,114 @@ class TestGradientMatchesDense:
             labels.set(v, BetaLabel(a, a * rng.uniform(0.3, 1.0)))
         staged = set_condition(c, query=1, evidence=[(3 * k, True)])
         assert_matches_dense(shadow_circuit(staged), labels)
+
+
+def exact_first_order(staged, labels):
+    """The conditional and its first-order variance, in exact rationals.
+
+    Both roots are multilinear in the leaf parameters (every AND is
+    decomposable), so d root / d theta_v = root(theta_v = 1) -
+    root(theta_v = 0).  Each float input enters at its exact value.
+    Returns None when the evidence has probability 0.
+    """
+    qneg = set(staged.literal_leaves(-staged.query_literal))
+    theta = {v: Fraction(labels.mean_of(v)) for v in staged.variables()}
+
+    def root(values, pinned):
+        val = []
+        for n in staged.nodes:
+            if n.kind is NodeKind.LITERAL:
+                t = values[n.var]
+                x = (Fraction(0) if n.lam == 0 or n.id in pinned
+                     else t if n.literal > 0 else 1 - t)
+            elif n.kind is NodeKind.AND:
+                x = math.prod((val[ch] for ch in n.children), start=Fraction(1))
+            elif n.kind is NodeKind.OR:
+                x = sum((val[ch] for ch in n.children), Fraction(0))
+            else:
+                x = Fraction(n.kind is NodeKind.TRUE)
+            val.append(x)
+        return val[staged.root]
+
+    num, den = root(theta, qneg), root(theta, set())
+    if den == 0:
+        return None
+    mean = num / den
+    var = Fraction(0)
+    for v in theta:
+        d = [root({**theta, v: Fraction(1)}, pinned)
+             - root({**theta, v: Fraction(0)}, pinned)
+             for pinned in (qneg, set())]
+        rho = (d[0] * den - num * d[1]) / den ** 2
+        var += Fraction(labels.variance_of(v)) * rho * rho
+    return mean, min(var, max(mean, 0) * max(1 - mean, 0))
+
+
+class TestExactArithmetic:
+    def test_random_circuits_match_rationals(self):
+        # Conditionals near 1 are where a sum of signed terms would cancel.
+        rng = random.Random(1)
+        near_one = 0
+        for _ in range(150):
+            theory = random_theory(rng, rng.randint(4, 8))
+            c = shannon_compile(theory)
+            variables = sorted(c.variables())
+            if not variables:
+                continue
+            labels = random_labels(rng, variables)
+            staged = set_condition(c, query=rng.choice(variables))
+            exact = exact_first_order(staged, labels)
+            if exact is None:
+                continue
+            mean, var = exact
+            near_one += 0.99 < mean < 1
+            res = eval_cov(shadow_circuit(staged), labels)
+            assert abs(Fraction(res.variance) - var) <= var * Fraction(1e-13)
+        assert near_one >= 1
+
+
+class TestDeepCircuits:
+    """Block circuits whose E[root] is 0.5^k, Beta(5,5) labels."""
+
+    @staticmethod
+    def answer(k, make_block_nnf, x=BetaLabel(5, 5), y=BetaLabel(5, 5),
+               z=BetaLabel(5, 5)):
+        c = parse_nnf(make_block_nnf(k))
+        staged = set_condition(c, query=1, evidence=[(3 * k, True)])
+        labels = LabelTable({v: (x, y, z)[(v - 1) % 3]
+                             for v in range(1, 3 * k + 1)})
+        return eval_cov(shadow_circuit(staged), labels)
+
+    @pytest.mark.parametrize("k", [300, 400, 1000])
+    def test_one_block_closed_form(self, k, make_block_nnf):
+        # The other blocks cancel from the ratio: mean 0.25/0.5, and
+        # var = (1 + 1/4 + 1/4) var[theta] with var[theta] = 1/44.
+        res = self.answer(k, make_block_nnf)
+        assert res.mean == pytest.approx(0.5, rel=1e-12)
+        assert res.variance == pytest.approx(3 / 88, rel=1e-12)
+
+    # Non-dyadic labels: each block has mean 0.3*0.7 + 0.7*0.4 = 0.49, so
+    # E[root] is normal at 980 blocks (~2^-1009) and subnormal at 1,030.
+    NON_DYADIC = dict(x=BetaLabel(3, 7), y=BetaLabel(7, 3), z=BetaLabel(4, 6))
+
+    def test_non_dyadic_closed_form_while_normal(self, make_block_nnf):
+        # mu = xy/D with D = xy + (1-x)z, whose gradient over block 0 is
+        # (yz, x(1-x)z, -xy(1-x))/D^2.
+        res = self.answer(980, make_block_nnf, **self.NON_DYADIC)
+        (mx, vx), (my, vy), (mz, vz) = (
+            (b.mean, b.variance) for b in self.NON_DYADIC.values())
+        d = mx * my + (1 - mx) * mz
+        var = (vx * (my * mz) ** 2 + vy * (mx * (1 - mx) * mz) ** 2
+               + vz * (mx * my * (1 - mx)) ** 2) / d ** 4
+        assert res.mean == pytest.approx(mx * my / d, rel=1e-12)
+        assert res.variance == pytest.approx(var, rel=1e-12)
+
+    def test_subnormal_evidence_is_a_numerical_failure(self, make_block_nnf):
+        with pytest.raises(ArithmeticError, match="subnormal"):
+            self.answer(1030, make_block_nnf, **self.NON_DYADIC)
+
+    def test_evidence_underflow_is_still_inconsistent(self, make_block_nnf):
+        # Open defect (ROADMAP item 3): 0.5^1200 underflows to 0.0 in the
+        # forward pass, and the zero is reported as inconsistent evidence.
+        with pytest.raises(InconsistentEvidenceError):
+            self.answer(1200, make_block_nnf)

@@ -152,17 +152,13 @@ class TestRun:
         m = report.backends["cpb"]
         assert m.trials + m.failures == 30
 
-    def test_underflow_counts_as_failed_trial(self, tmp_path, make_block_nnf):
-        # E[root] is a product of 300 block means near 0.5, so cpb's
-        # E[root]^4 underflows and its division raises ZeroDivisionError.
-        path = tmp_path / "blocks.nnf"
-        path.write_text(make_block_nnf(300))
-        cfg = ExperimentConfig(circuit_file=str(path), query_vars=(1,),
-                               n_ins=10, truth_draws=6, repetitions=5,
-                               backends=("cpb",), seed=3, golden_samples=0)
+    def test_arithmetic_error_counts_as_failed_trial(self, monkeypatch):
+        fail_some_label_sets(monkeypatch)
+        cfg = failing_config()
         m = run_experiment(cfg).backends["cpb"]
-        assert m.failures > 0
-        assert m.trials + m.failures == 30
+        # Three queries per label set.
+        assert m.failures == 11 * 3
+        assert m.trials + m.failures == 30 * 3
 
 
 def metric_csvs(cfg, outdir):
@@ -170,21 +166,34 @@ def metric_csvs(cfg, outdir):
     return {name: (outdir / name).read_bytes() for name in METRIC_CSVS}
 
 
-def failing_blocks_config(path):
-    # At 230 blocks cpb's E[root]^4 underflows on 8 of the 30 label sets,
-    # so its records skip label sets and must find their golden strengths
-    # by (label-set index, query) tag.
-    return ExperimentConfig(circuit_file=str(path), query_vars=(1,),
-                            n_ins=10, truth_draws=6, repetitions=5,
-                            backends=("cpb",), seed=3, golden_samples=100)
+def fail_some_label_sets(monkeypatch):
+    """Make cpb raise ZeroDivisionError on a fixed subset of label sets.
+
+    A label set fails when its lowest variable was seen true 0, 3, 6 or
+    9 times in 10 observations.  Forked workers inherit the patch.
+    """
+    eval_cov = harness.eval_cov
+
+    def failing(sc, labels, leaf_cov=None):
+        if labels.label_of(labels.variables[0]).alpha_pos % 3 == 1:
+            raise ZeroDivisionError("float division by zero")
+        return eval_cov(sc, labels, leaf_cov)
+
+    monkeypatch.setattr(harness, "eval_cov", failing)
+
+
+def failing_config():
+    # With fail_some_label_sets, cpb fails on 11 of the 30 label sets, so
+    # its records skip label sets and must find their golden strengths by
+    # (label-set index, query) tag.
+    return ExperimentConfig(model="net2", n_ins=10, truth_draws=6,
+                            repetitions=5, backends=("cpb",), seed=3,
+                            golden_samples=100)
 
 
 class TestWorkers:
     @pytest.mark.skipif(not harness._FORK, reason="needs the fork start method")
-    def test_workers_match_in_process(self, tmp_path, make_block_nnf,
-                                      monkeypatch):
-        blocks = tmp_path / "blocks.nnf"
-        blocks.write_text(make_block_nnf(230))
+    def test_workers_match_in_process(self, tmp_path, monkeypatch):
         mixed = ("cpb", "mm", "sl", "mc:200", "mc:300")
         cells = {
             "net1": small_config(model="net1", truth_draws=10, repetitions=3,
@@ -192,7 +201,7 @@ class TestWorkers:
             "smokers": small_config(model="smokers", truth_draws=6,
                                     repetitions=5, backends=mixed,
                                     golden_samples=300),
-            "blocks": failing_blocks_config(blocks),
+            "failing": failing_config(),
         }
         pools = []
 
@@ -203,10 +212,12 @@ class TestWorkers:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
         for tag, cfg in cells.items():
-            forked = metric_csvs(cfg, tmp_path / tag / "forked")
-            monkeypatch.setattr(harness, "_FORK", False)
-            in_process = metric_csvs(cfg, tmp_path / tag / "in-process")
-            monkeypatch.setattr(harness, "_FORK", True)
+            with monkeypatch.context() as m:
+                if tag == "failing":
+                    fail_some_label_sets(m)
+                forked = metric_csvs(cfg, tmp_path / tag / "forked")
+                m.setattr(harness, "_FORK", False)
+                in_process = metric_csvs(cfg, tmp_path / tag / "in-process")
             assert forked == in_process, tag
         assert len(pools) == len(cells)
 
@@ -231,15 +242,14 @@ class TestWorkers:
             "e4be9bf957a74d84945a33b71258da5288e797501c5c0ae3e94892f6dfd780df")
 
     def test_failed_trials_keep_their_golden_strengths(self, tmp_path,
-                                                        make_block_nnf):
-        blocks = tmp_path / "blocks.nnf"
-        blocks.write_text(make_block_nnf(230))
-        out = metric_csvs(failing_blocks_config(blocks), tmp_path)
+                                                        monkeypatch):
+        fail_some_label_sets(monkeypatch)
+        out = metric_csvs(failing_config(), tmp_path)
         assert out["rmse.csv"] == (
             b"backend,n_ins,trials,failures,actual_rmse,predicted_rmse\r\n"
-            b"cpb,10,22,8,0.1812751889,0.1505009243\r\n")
+            b"cpb,10,57,33,0.1620682246,0.1746316311\r\n")
         assert out["correlation.csv"] == (
-            b"backend,pearson_r\r\ncpb,-0.2854898709\r\n")
+            b"backend,pearson_r\r\ncpb,0.9701369469\r\n")
 
     def test_task_error_reraises_and_leaves_no_child(self, monkeypatch):
         # A forked worker inherits the patch; its error reaches the caller
