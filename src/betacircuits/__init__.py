@@ -9,7 +9,7 @@ independence-assuming moment matching) and a Monte Carlo oracle.
 """
 
 from .betacalc import (BetaLabel, Moments, Opinion, from_opinion, mm_division,
-                       mm_product, mm_sum, moment_match, moments_of, sl_division,
+                       mm_product, mm_sum, moment_match, sl_division,
                        sl_product, sl_sum, to_opinion)
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable, NodeKind,
                       format_nnf, parse_nnf, set_condition, validate)
@@ -23,7 +23,7 @@ from .semirings import (InconsistentEvidenceError, SemiringSpec,
 
 __all__ = [
     "BetaLabel", "Moments", "Opinion", "from_opinion", "mm_division",
-    "mm_product", "mm_sum", "moment_match", "moments_of", "sl_division",
+    "mm_product", "mm_sum", "moment_match", "sl_division",
     "sl_product", "sl_sum", "to_opinion",
     "Circuit", "CircuitError", "CircuitNode", "LabelTable", "NodeKind",
     "format_nnf", "parse_nnf", "set_condition", "validate",

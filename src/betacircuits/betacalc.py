@@ -145,13 +145,9 @@ class BetaLabel:
     # -- accessors ----------------------------------------------------
 
     @property
-    def is_certain(self) -> bool:
-        return self.certain is not None
-
-    @property
     def strength(self) -> float:
         """Dirichlet strength s = alpha_pos + alpha_neg (inf for point masses)."""
-        if self.is_certain:
+        if self.certain is not None:
             return math.inf
         return self.alpha_pos + self.alpha_neg
 
@@ -163,7 +159,7 @@ class BetaLabel:
 
     @property
     def variance(self) -> float:
-        if self.is_certain:
+        if self.certain is not None:
             return 0.0
         m = self.mean
         return m * (1.0 - m) / (self.strength + 1.0)
@@ -181,20 +177,17 @@ class BetaLabel:
                          1.0 - self.base_rate, self.prior_weight)
 
     def moments(self) -> Moments:
-        return moments_of(self)
+        """Mean and variance of the label.
+
+        mean = alpha_pos / s, variance = mean (1 - mean) / (s + 1).
+        The certain-true sentinel returns (1, 0), certain-false (0, 0).
+        """
+        return Moments(self.mean, self.variance)
 
 
 # ---------------------------------------------------------------------
 # Conversions
 # ---------------------------------------------------------------------
-
-def moments_of(label: BetaLabel) -> Moments:
-    """Mean and variance of a beta label.
-
-    mean = alpha_pos / s, variance = mean (1 - mean) / (s + 1).
-    The certain-true sentinel returns (1, 0), certain-false (0, 0).
-    """
-    return Moments(label.mean, label.variance)
 
 
 def to_opinion(label: BetaLabel) -> Opinion:
@@ -208,14 +201,11 @@ def to_opinion(label: BetaLabel) -> Opinion:
     a = label.base_rate
     b = (label.alpha_pos - w * a) / s
     d = (label.alpha_neg - w * (1.0 - a)) / s
-    u = w / s
-    # Tidy rounding noise so downstream simplex checks are exact-ish.
     return Opinion(b, d, 1.0 - b - d, a)
 
 
-def from_opinion(op: Opinion,
-                 prior_weight: float = DEFAULT_PRIOR_WEIGHT) -> BetaLabel:
-    """Map an opinion back to a beta label.
+def from_opinion(op: Opinion) -> BetaLabel:
+    """Map an opinion back to a beta label of the default prior weight.
 
     A dogmatic opinion (u = 0) has no finite-strength beta; the two
     absorbing cases b = 1 and d = 1 map to the certain sentinels, anything
@@ -227,14 +217,14 @@ def from_opinion(op: Opinion,
         base = (op.base_rate if 0.0 < op.base_rate < 1.0
                 else DEFAULT_BASE_RATE)
         if op.belief >= 1.0 - SIMPLEX_TOL:
-            return BetaLabel.certain_true(base, prior_weight)
+            return BetaLabel.certain_true(base)
         if op.disbelief >= 1.0 - SIMPLEX_TOL:
-            return BetaLabel.certain_false(base, prior_weight)
+            return BetaLabel.certain_false(base)
         raise ValueError(
             f"dogmatic opinion with interior belief {op.belief} has no "
             f"finite beta representation"
         )
-    w = prior_weight
+    w = DEFAULT_PRIOR_WEIGHT
     ratio = w / op.uncertainty
     a = op.base_rate
     return BetaLabel(ratio * op.belief + w * a,
@@ -242,10 +232,8 @@ def from_opinion(op: Opinion,
                      a, w)
 
 
-def moment_match(m: Moments,
-                 base_rate: float = DEFAULT_BASE_RATE,
-                 prior_weight: float = DEFAULT_PRIOR_WEIGHT) -> BetaLabel:
-    """Fit a beta label to a (mean, variance) pair.
+def moment_match(m: Moments) -> BetaLabel:
+    """Fit a beta label of the default prior to a (mean, variance) pair.
 
     The fitted Dirichlet strength is
 
@@ -261,11 +249,11 @@ def moment_match(m: Moments,
     """
     mean = m.mean
     if mean <= 0.0:
-        return BetaLabel.certain_false(base_rate, prior_weight)
+        return BetaLabel.certain_false()
     if mean >= 1.0:
-        return BetaLabel.certain_true(base_rate, prior_weight)
-    w = prior_weight
-    a = base_rate
+        return BetaLabel.certain_true()
+    w = DEFAULT_PRIOR_WEIGHT
+    a = DEFAULT_BASE_RATE
     floors = max(w * a / mean, w * (1.0 - a) / (1.0 - mean))
     bound = mean * (1.0 - mean)
     if m.variance <= 0.0:
@@ -275,7 +263,7 @@ def moment_match(m: Moments,
     else:
         s = max(bound / m.variance - 1.0, floors)
         s = min(s, MAX_STRENGTH)
-    return BetaLabel(mean * s, (1.0 - mean) * s, a, w)
+    return BetaLabel(mean * s, (1.0 - mean) * s)
 
 
 # ---------------------------------------------------------------------
@@ -291,7 +279,6 @@ def sl_sum(x: Opinion, y: Opinion) -> Opinion:
     asum = ax + ay
     b = x.belief + y.belief
     d = (ax * (x.disbelief - y.belief) + ay * (y.disbelief - x.belief)) / asum
-    u = (ax * x.uncertainty + ay * y.uncertainty) / asum
     return Opinion(b, d, 1.0 - b - d, asum)
 
 

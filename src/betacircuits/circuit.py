@@ -67,17 +67,15 @@ class CircuitError(ValueError):
 class Circuit:
     """An immutable-by-convention d-DNNF circuit.
 
-    ``query_literal`` and ``evidence`` are bookkeeping set by
-    ``set_condition``: the evidence is already reflected in the leaves'
-    lambda bits, the query literal is staged for the shadowing step of the
-    covariance evaluator.
+    ``query_literal`` is staged by ``set_condition`` (whose evidence lives
+    in the leaves' lambda bits): each evaluator pins the leaves of its
+    negation to 0 for the numerator of the conditional.
     """
 
     nodes: list[CircuitNode]
     root: int
     var_count: int
     query_literal: Optional[int] = None
-    evidence: tuple[tuple[int, bool], ...] = ()
     _scopes: Optional[list[frozenset[int]]] = field(
         default=None, repr=False, compare=False)
 
@@ -330,14 +328,13 @@ def set_condition(c: Circuit, query: Optional[int],
 
     Evidence (var, value) pairs set lambda = 0 on every leaf asserting the
     *contradicting* polarity of that variable.  The query literal is only
-    recorded: the covariance evaluator shadows its negation's leaves, and
-    the semiring evaluators toggle them per pass.
+    recorded: the evaluators pin its negation's leaves to 0 when they
+    compute the numerator of the conditional.
 
     Raises CircuitError when the query variable does not occur in the
     circuit.
     """
-    ev = tuple(evidence)
-    contradicted = {(-v if val else v) for v, val in ev}
+    contradicted = {(-v if val else v) for v, val in evidence}
     if query is not None:
         qvar = abs(query)
         if not any(n.kind is NodeKind.LITERAL and n.var == qvar for n in c.nodes):
@@ -348,8 +345,7 @@ def set_condition(c: Circuit, query: Optional[int],
             new_nodes.append(replace(n, lam=0))
         else:
             new_nodes.append(n)
-    return Circuit(new_nodes, c.root, c.var_count,
-                   query_literal=query, evidence=ev)
+    return Circuit(new_nodes, c.root, c.var_count, query_literal=query)
 
 
 # ---------------------------------------------------------------------
@@ -367,10 +363,9 @@ class LabelTable:
     """
 
     def __init__(self, labels: Optional[Mapping[int, BetaLabel]] = None):
-        self._labels: dict[int, BetaLabel] = dict(labels or {})
-        for v in self._labels:
-            if v <= 0:
-                raise ValueError(f"variable ids must be positive, got {v}")
+        self._labels: dict[int, BetaLabel] = {}
+        for v, label in (labels or {}).items():
+            self.set(v, label)
 
     def __contains__(self, var: int) -> bool:
         return var in self._labels
@@ -383,6 +378,8 @@ class LabelTable:
         return sorted(self._labels)
 
     def set(self, var: int, label: BetaLabel) -> None:
+        if var <= 0:
+            raise ValueError(f"variable ids must be positive, got {var}")
         self._labels[var] = label
 
     def label_of(self, literal: int) -> BetaLabel:
@@ -426,9 +423,9 @@ def parse_label_table(text: str) -> LabelTable:
                 label = BetaLabel.certain_false(base, weight)
             else:
                 label = BetaLabel(float(ap), float(an), base, weight)
+            table.set(var, label)
         except ValueError as exc:
             raise CircuitError(f"label table line {i}: {exc}") from exc
-        table.set(var, label)
     return table
 
 
@@ -459,7 +456,7 @@ def parse_condition_file(text: str) -> tuple[Optional[int], list[tuple[int, bool
         if not ln or ln.startswith("#"):
             continue
         toks = ln.split()
-        if toks[0] == "evidence" and len(toks) == 3:
+        if toks[0] == "evidence" and len(toks) == 3 and toks[2] in ("0", "1"):
             evidence.append((int(toks[1]), toks[2] == "1"))
         elif toks[0] == "query" and len(toks) == 2:
             if query is not None:

@@ -252,8 +252,7 @@ class _Builder:
 
 
 def shannon_compile(theory: Theory,
-                    order: Optional[Sequence[int]] = None,
-                    memoize: bool = True) -> Circuit:
+                    order: Optional[Sequence[int]] = None) -> Circuit:
     """Compile a theory into a deterministic decomposable circuit.
 
     ``order`` lists variable ids; splitting always picks the earliest
@@ -283,7 +282,7 @@ def shannon_compile(theory: Theory,
             return builder.true()
         if f is False:
             return builder.false()
-        if memoize and f in memo:
+        if f in memo:
             return memo[f]
         v = min(vars_of(f), key=position.__getitem__)
         branches = []
@@ -303,8 +302,7 @@ def shannon_compile(theory: Theory,
             result = branches[0]
         else:
             result = builder.gate(NodeKind.OR, tuple(branches), decision_var=v)
-        if memoize:
-            memo[f] = result
+        memo[f] = result
         return result
 
     return builder.finish(compile_rec(formula))

@@ -2,10 +2,10 @@
 
 This is the library's main inference engine.  Instead of propagating each
 node's uncertainty in isolation (as the moment-matching baseline does), it
-accounts for the full covariance structure between circuit nodes, which
-makes the deterministic-OR sum exact in both mean and variance and keeps
-the final conditioning division aware of the correlation between its
-numerator and denominator.
+propagates the leaf covariance through the circuit's gradients, so a
+shared leaf counts once, the deterministic-OR sum adds no approximation,
+and the conditioning division sees the correlation between its numerator
+and denominator.
 
 The conditional is X/Y, where Y is the circuit root (evidence) and X is
 the root with the negated-query leaves pinned to 0 (query and evidence).
@@ -134,11 +134,6 @@ def parse_leaf_cov(text: str) -> LeafCovariance:
         except ValueError as exc:
             raise CircuitError(f"leaf covariance line {i}: {exc}") from exc
     return cov
-
-
-def format_leaf_cov(cov: LeafCovariance) -> str:
-    out = [f"{i} {j} {v!r}" for (i, j), v in sorted(cov.cross_entries.items())]
-    return "\n".join(out) + ("\n" if out else "")
 
 
 # ---------------------------------------------------------------------

@@ -36,16 +36,25 @@ class ExampleModel:
     """A theory plus the experiment protocol metadata around it."""
 
     name: str
-    theory: Theory
+    theory: Optional[Theory]
     order: list[int]
     prob_vars: tuple[int, ...]
     query_vars: tuple[int, ...]
     fixed_evidence: dict[int, bool] = field(default_factory=dict)
     prob_evidence: tuple[tuple[int, bool], ...] = ()
     random_evidence_vars: tuple[int, ...] = ()
-    var_names: dict[int, str] = field(default_factory=dict)
     tied_groups: tuple[tuple[int, ...], ...] = ()
     _cache: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def from_circuit(cls, name: str, circuit: Circuit,
+                     query_vars: tuple[int, ...]) -> "ExampleModel":
+        """A fixed circuit, no theory, every variable learnable."""
+        model = cls(name=name, theory=None, order=[],
+                    prob_vars=tuple(sorted(circuit.variables())),
+                    query_vars=query_vars)
+        model._cache[()] = circuit
+        return model
 
     def circuit(self, random_evidence: Optional[Mapping[int, bool]] = None
                 ) -> Circuit:
@@ -118,15 +127,14 @@ def burglary_model() -> ExampleModel:
         prob_vars=(b, e, h),
         query_vars=(b,),
         fixed_evidence={c: True},
-        var_names={v: k for k, v in BURGLARY_VARS.items()},
     )
 
 
-def point_labels(probs: Mapping[int, float], strength: float = 1e9) -> LabelTable:
-    """Near-point-mass labels with the given means (for ground truths)."""
+def point_labels(probs: Mapping[int, float]) -> LabelTable:
+    """Strength-1e9 labels with the given means (for ground truths)."""
     table = LabelTable()
     for v, p in probs.items():
-        table.set(v, BetaLabel(p * strength, (1.0 - p) * strength))
+        table.set(v, BetaLabel(p * 1e9, (1.0 - p) * 1e9))
     return table
 
 
@@ -176,14 +184,6 @@ def smokers_model(shared_annotations: bool = False) -> ExampleModel:
     )
     theory = Theory(21, constraints)
 
-    names = {s[p]: f"stress({p})" for p in s}
-    names.update({i21: "influences(2,1)", i12: "influences(1,2)",
-                  i42: "influences(4,2)", i23: "influences(2,3)",
-                  i24: "influences(2,4)"})
-    names.update({t[p]: f"asthma_trigger({p})" for p in t})
-    names.update({smk[p]: f"smokes({p})" for p in smk})
-    names.update({ast[p]: f"asthma({p})" for p in ast})
-
     tied: tuple[tuple[int, ...], ...] = ()
     if shared_annotations:
         tied = ((s[1], s[2], s[3], s[4], i21, i12, i42, i23, i24),
@@ -201,7 +201,6 @@ def smokers_model(shared_annotations: bool = False) -> ExampleModel:
         query_vars=(smk[1], smk[3], smk[4], ast[1], ast[2], ast[3], ast[4]),
         fixed_evidence={smk[2]: True},
         prob_evidence=((i42, False),),
-        var_names=names,
         tied_groups=tied,
     )
 
@@ -216,10 +215,6 @@ def _bn_model(name: str, spec: BayesNetSpec,
               observed: tuple[str, ...], queried: tuple[str, ...]
               ) -> ExampleModel:
     theory, legend = encode_bn(spec)
-    names = {v: n for n, v in legend.node_var.items()}
-    for (node, config), v in legend.cpt_var.items():
-        bits = "".join("1" if x else "0" for x in config)
-        names[v] = f"cpt[{node}|{bits}]" if config else f"cpt[{node}]"
     return ExampleModel(
         name=name,
         theory=theory,
@@ -227,7 +222,6 @@ def _bn_model(name: str, spec: BayesNetSpec,
         prob_vars=tuple(legend.cpt_vars),
         query_vars=tuple(legend.node_var[q] for q in queried),
         random_evidence_vars=tuple(legend.node_var[o] for o in observed),
-        var_names=names,
     )
 
 

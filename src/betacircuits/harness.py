@@ -51,7 +51,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -103,6 +103,10 @@ class ExperimentConfig:
                              f"choose from {sorted(BUILTIN_MODELS)}")
         if self.circuit_file is not None and not self.query_vars:
             raise ValueError("query_vars is required with circuit_file")
+        for name in ("n_ins", "truth_draws", "repetitions", "seed",
+                     "golden_samples"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
         g, r = self.trial_shape
         if g * r < 30:
             raise ValueError("need at least 30 trials (truth_draws x "
@@ -121,11 +125,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """A config from a JSON object; malformed input raises ValueError."""
         raw = json.loads(text)
-        for key in ("query_vars", "backends", "gammas"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        if not isinstance(raw, dict):
+            raise ValueError("experiment config must be a JSON object")
+        unknown = raw.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown experiment config keys {sorted(unknown)}")
+        try:
+            for key in ("query_vars", "backends", "gammas"):
+                if key in raw:
+                    raw[key] = tuple(raw[key])
+            return cls(**raw)
+        except TypeError as exc:
+            raise ValueError(f"malformed experiment config: {exc}") from exc
 
 
 def _check_backend(name: str) -> None:
@@ -266,16 +279,9 @@ def _run_backend(name: str, staged: Circuit, labels: LabelTable,
 def _resolve_model(cfg: ExperimentConfig) -> ExampleModel:
     if cfg.model is not None:
         return BUILTIN_MODELS[cfg.model](**cfg.model_options)
-    c = parse_nnf(Path(cfg.circuit_file).read_text())
-    model = ExampleModel(
-        name=Path(cfg.circuit_file).stem,
-        theory=None,  # type: ignore[arg-type]
-        order=[],
-        prob_vars=tuple(sorted(c.variables())),
-        query_vars=cfg.query_vars,
-    )
-    model._cache[()] = c
-    return model
+    path = Path(cfg.circuit_file)
+    return ExampleModel.from_circuit(path.stem, parse_nnf(path.read_text()),
+                                     cfg.query_vars)
 
 
 def _draw_truth(model: ExampleModel, rng: np.random.Generator

@@ -7,7 +7,7 @@ import pytest
 
 from betacircuits.betacalc import (
     DEFAULT_BASE_RATE, BetaLabel, Moments, Opinion, MAX_STRENGTH,
-    from_opinion, mm_division, mm_product, mm_sum, moment_match, moments_of,
+    from_opinion, mm_division, mm_product, mm_sum, moment_match,
     sl_division, sl_product, sl_sum, to_opinion)
 
 
@@ -50,11 +50,11 @@ class TestConversions:
                                                               abs=1e-12)
 
     def test_moments_of(self):
-        m = moments_of(BetaLabel(2, 18))
+        m = BetaLabel(2, 18).moments()
         assert m.mean == pytest.approx(0.1)
         assert m.variance == pytest.approx(0.1 * 0.9 / 21)
-        assert moments_of(BetaLabel.certain_true()) == Moments(1.0, 0.0)
-        assert moments_of(BetaLabel.certain_false()) == Moments(0.0, 0.0)
+        assert BetaLabel.certain_true().moments() == Moments(1.0, 0.0)
+        assert BetaLabel.certain_false().moments() == Moments(0.0, 0.0)
 
     def test_dogmatic_opinion_rejected_unless_absorbing(self):
         assert from_opinion(Opinion(1, 0, 0, 0.5)).certain is True
@@ -128,9 +128,8 @@ class TestMomentMatch:
         for _ in range(200):
             m = rng.uniform(1e-6, 1.0 - 1e-6)
             var = m * (1.0 - m) * rng.uniform(1.0, 50.0)
-            a, w = rng.uniform(0.05, 0.95), rng.uniform(0.5, 10.0)
-            assert (moment_match(Moments(m, var), a, w)
-                    == moment_match(Moments(m, m * (1.0 - m)), a, w))
+            assert (moment_match(Moments(m, var))
+                    == moment_match(Moments(m, m * (1.0 - m))))
 
     def test_zero_variance_caps_strength(self):
         fit = moment_match(Moments(0.3, 0.0))

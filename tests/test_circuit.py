@@ -270,6 +270,8 @@ class TestLabelTable:
     def test_positive_ids_required(self):
         with pytest.raises(ValueError):
             LabelTable({0: BetaLabel(1, 1)})
+        with pytest.raises(ValueError):
+            LabelTable().set(-1, BetaLabel(1, 1))
 
     def test_file_round_trip(self):
         t = LabelTable({1: BetaLabel(2, 18), 5: BetaLabel.certain_true(),
@@ -287,6 +289,8 @@ class TestLabelTable:
             parse_label_table("1 2\n")
         with pytest.raises(CircuitError, match="line 2"):
             parse_label_table("1 2 18\n2 x 8\n")
+        with pytest.raises(CircuitError, match="line 2: variable ids"):
+            parse_label_table("1 2 18\n-1 2 3\n")
 
 
 class TestConditionFile:
@@ -303,3 +307,6 @@ class TestConditionFile:
     def test_malformed(self):
         with pytest.raises(CircuitError, match="line 1"):
             parse_condition_file("observe 3 1\n")
+        # Only 0 and 1 are evidence values; "true" is not read as false.
+        with pytest.raises(CircuitError, match="line 2"):
+            parse_condition_file("query 1\nevidence 1 true\n")

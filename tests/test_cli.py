@@ -213,6 +213,24 @@ class TestExperiment:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"model": "net1", "bogus": 1}, "unknown experiment config keys ['bogus']"),
+        ({"model": "net1", "n_ins": "ten"}, "n_ins must be an integer"),
+        ({"model": "net1", "seed": "x"}, "seed must be an integer"),
+        ({"model": "net1", "backends": 5}, "malformed experiment config"),
+        (["net1"], "must be a JSON object"),
+    ], ids=["unknown-key", "wrong-type", "wrong-seed-type", "not-a-list",
+            "not-an-object"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, raw, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw))
+        rc, out, err = run(capsys, "experiment", "--config", config,
+                           "--out", tmp_path / "out")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
 
 def test_import_does_not_load_scipy():
     # ``infer`` never needs scipy; only ``experiment`` (via harness) does.

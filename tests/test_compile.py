@@ -115,18 +115,15 @@ class TestShannonCompile:
                 assignment = dict(zip((1, 2, 3), bits))
                 assert truth_value(c, assignment) == eval_formula(f, assignment)
 
-    def test_memoization_changes_size_not_value(self):
-        # A formula with shared residuals compiles smaller with memoization
-        # but to the same function and weighted count.
+    def test_shared_residuals_share_gates(self):
+        # Hash-consing: a formula with shared residuals compiles to a DAG in
+        # which no two gates have the same kind and children.
         f = f_iff(f_var(4), f_or(f_and(f_var(1), f_var(3)),
                                  f_and(f_var(2), f_var(3))))
-        theory = Theory(4, (f,))
-        memo = shannon_compile(theory, memoize=True)
-        plain = shannon_compile(theory, memoize=False)
-        labels = LabelTable({v: BetaLabel(2, 3) for v in range(1, 5)})
-        assert prob_of(memo, labels) == pytest.approx(prob_of(plain, labels),
-                                                      abs=1e-12)
-        assert len(memo) <= len(plain)
+        c = shannon_compile(Theory(4, (f,)))
+        gates = [(n.kind, n.children) for n in c.nodes
+                 if n.kind in (NodeKind.AND, NodeKind.OR)]
+        assert len(set(gates)) == len(gates)
 
     def test_order_respected(self):
         c = shannon_compile(Theory(2, (f_or(f_var(1), f_var(2)),)),

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from betacircuits.circuit import CircuitError
-from betacircuits.learn import (Dataset, fit_complete, format_dataset,
-                                parse_dataset, sample_observations)
+from betacircuits.learn import Dataset, fit_complete, sample_observations
 
 
 def make_dataset(columns):
@@ -24,18 +22,6 @@ class TestDataset:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
             Dataset(2, ((True, False), (True,)))
-
-    def test_file_round_trip(self):
-        d = make_dataset([[True, False], [False, True]])
-        assert parse_dataset(format_dataset(d)) == d
-
-    def test_parse_errors(self):
-        with pytest.raises(CircuitError, match="header"):
-            parse_dataset("rows 2\n0 1\n")
-        with pytest.raises(CircuitError, match="line 2"):
-            parse_dataset("vars 2\n0 1 1\n")
-        with pytest.raises(CircuitError, match="line 2"):
-            parse_dataset("vars 2\n0 x\n")
 
 
 class TestFitComplete:
@@ -60,14 +46,6 @@ class TestFitComplete:
         assert table.label_of(1).alpha_pos == pytest.approx(6.0)
         assert table.label_of(1).alpha_neg == pytest.approx(1.0)
 
-    def test_custom_prior(self):
-        d = make_dataset([[True, False]])
-        table, _ = fit_complete(d, base_rate=0.25, prior_weight=4.0)
-        lab = table.label_of(1)
-        assert lab.alpha_pos == pytest.approx(1 + 1.0)
-        assert lab.alpha_neg == pytest.approx(1 + 3.0)
-        assert lab.base_rate == 0.25
-
     def test_variable_mapping(self):
         d = make_dataset([[True], [False]])
         table, _ = fit_complete(d, variables=[7, 9])
@@ -91,14 +69,9 @@ class TestSampling:
         assert d1 == d2
         assert v1 == v2 == [3, 5]
 
-    def test_sequence_form(self):
-        d, variables = sample_observations([0.5, 0.5], 10, rng=0)
-        assert variables == [1, 2]
-        assert len(d) == 10
-
     def test_extreme_probabilities_rejected(self):
         with pytest.raises(ValueError, match="\\(0,1\\)"):
-            sample_observations([0.0, 0.5], 10)
+            sample_observations({1: 0.0, 2: 0.5}, 10)
 
     def test_posterior_converges_to_truth(self):
         truth = {1: 0.3, 2: 0.85}

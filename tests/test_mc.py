@@ -25,7 +25,7 @@ STAGED = set_condition(burglary_circuit(), query=1)
 
 class TestMCEval:
     def test_point_labels_give_exact_conditional(self):
-        labels = point_labels({1: 0.1, 2: 0.2, 3: 0.5}, strength=1e9)
+        labels = point_labels({1: 0.1, 2: 0.2, 3: 0.5})
         got = mc_eval(STAGED, labels, 200, seed=0)
         assert got.mean == pytest.approx(5.0 / 14.0, abs=1e-4)
         assert got.variance < 1e-7
@@ -63,7 +63,7 @@ class TestMCEval:
         # every sample's evidence probability is zero.
         c = parse_nnf("nnf 1 0 1\nL 1\n")
         dead = set_condition(c, query=1, evidence=[(1, False)])
-        labels = point_labels({1: 0.5}, strength=float("inf"))
+        labels = LabelTable({1: BetaLabel(math.inf, math.inf)})
         with pytest.raises(InconsistentEvidenceError, match="rejected"):
             mc_eval(dead, labels, 50, seed=0)
 
