@@ -14,12 +14,12 @@ from .betacalc import (BetaLabel, Moments, Opinion, from_opinion, mm_division,
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable, NodeKind,
                       format_nnf, parse_nnf, set_condition, validate)
 from .cpb import (LeafCovariance, QueryResult, ShadowedCircuit, eval_cov,
-                  shadow_circuit)
+                  eval_cov_queries, shadow_circuit)
 from .learn import Dataset, fit_complete, sample_observations
 from .mc import MCResult, mc_eval, mc_eval_queries, mc_strength
 from .semirings import (InconsistentEvidenceError, SemiringSpec,
-                        conditioned_eval, mm_semiring, prob_semiring,
-                        sl_semiring)
+                        conditioned_eval, conditioned_eval_queries,
+                        mm_semiring, prob_semiring, sl_semiring)
 
 __all__ = [
     "BetaLabel", "Moments", "Opinion", "from_opinion", "mm_division",
@@ -28,11 +28,12 @@ __all__ = [
     "Circuit", "CircuitError", "CircuitNode", "LabelTable", "NodeKind",
     "format_nnf", "parse_nnf", "set_condition", "validate",
     "LeafCovariance", "QueryResult", "ShadowedCircuit", "eval_cov",
-    "shadow_circuit",
+    "eval_cov_queries", "shadow_circuit",
     "Dataset", "fit_complete", "sample_observations",
     "MCResult", "mc_eval", "mc_eval_queries", "mc_strength",
     "InconsistentEvidenceError", "SemiringSpec", "conditioned_eval",
-    "mm_semiring", "prob_semiring", "sl_semiring",
+    "conditioned_eval_queries", "mm_semiring", "prob_semiring",
+    "sl_semiring",
 ]
 
 __version__ = "0.1.0"

@@ -336,9 +336,7 @@ def set_condition(c: Circuit, query: Optional[int],
     """
     contradicted = {(-v if val else v) for v, val in evidence}
     if query is not None:
-        qvar = abs(query)
-        if not any(n.kind is NodeKind.LITERAL and n.var == qvar for n in c.nodes):
-            raise CircuitError(f"query variable {qvar} does not occur in circuit")
+        query_literals(c, (query,))
     new_nodes = []
     for n in c.nodes:
         if n.kind is NodeKind.LITERAL and n.literal in contradicted:
@@ -346,6 +344,23 @@ def set_condition(c: Circuit, query: Optional[int],
         else:
             new_nodes.append(n)
     return Circuit(new_nodes, c.root, c.var_count, query_literal=query)
+
+
+def query_literals(c: Circuit, queries: Iterable[int]) -> tuple[int, ...]:
+    """The distinct ``queries`` in order, each checked to occur in ``c``.
+
+    Raises ValueError when none is given and CircuitError when a query
+    variable has no leaf in the circuit.
+    """
+    queries = tuple(dict.fromkeys(queries))
+    if not queries:
+        raise ValueError("no queries given")
+    leaf_vars = {n.var for n in c.nodes if n.kind is NodeKind.LITERAL}
+    for q in queries:
+        if abs(q) not in leaf_vars:
+            raise CircuitError(
+                f"query variable {abs(q)} does not occur in circuit")
+    return queries
 
 
 # ---------------------------------------------------------------------

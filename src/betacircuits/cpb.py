@@ -17,11 +17,13 @@ first-order (delta-method) moments are
 
 where g_X is the gradient of X with respect to theta at the means and S
 is the leaf covariance: the label variances on the diagonal and the
-explicit cross-variable entries off it.  ``eval_cov`` takes each gradient
-in one forward pass (node means and per-gate child weights) and one
-reverse pass (adjoints), so it costs O(n) time and memory
-(Darwiche, "A differential approach to inference in Bayesian networks",
-JACM 2003).  The gate rules behind the weights are:
+explicit cross-variable entries off it.  Each gradient takes one forward
+pass (node means and per-gate child weights) and one reverse pass
+(adjoints), so it costs O(n) time and memory (Darwiche, "A differential
+approach to inference in Bayesian networks", JACM 2003).  The evidence
+root Y is shared by every query on one evidence circuit, so
+``eval_cov_queries`` takes g_Y once and one g_X per query.  The gate rules
+behind the weights are:
 
 * OR gates (children mutually exclusive, so the sum is literal):
   E[n] = sum_c E[c], with weight dn/dc = 1.
@@ -60,12 +62,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable,
-                      NodeKind)
+                      NodeKind, query_literals)
 from .semirings import InconsistentEvidenceError
 
 
@@ -225,7 +227,8 @@ def _leaf_means(c: Circuit, labels: LabelTable) -> list[float]:
     """Node-indexed leaf means, 0.0 at the gates.
 
     TRUE is 1, a lambda=1 literal has its label mean, and FALSE and the
-    lambda=0 leaves are 0.  ``eval_cov`` builds this once for both passes.
+    lambda=0 leaves are 0.  ``eval_cov_queries`` builds this once for all
+    its passes.
     """
     means = [0.0] * len(c)
     for node in c.nodes:
@@ -298,39 +301,59 @@ def _root_gradient(c: Circuit, leaf_means: list[float],
     return means[c.root], grad
 
 
-def eval_cov(sc: ShadowedCircuit, labels: LabelTable,
-             leaf_cov: Optional[LeafCovariance] = None) -> QueryResult:
-    """Conditioned mean and first-order variance via root gradients.
+def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
+                     leaf_cov: Optional[LeafCovariance] = None
+                     ) -> dict[int, QueryResult]:
+    """Conditioned mean and first-order variance of several queries.
 
-    Only ``sc.circuit`` is read.  The numerator X is its root with the
-    negated-query leaves (the ones ``shadow_circuit`` stubs) pinned to 0,
-    the denominator Y its root as is.  With g_X and g_Y their gradients
-    over the leaf variables and mu = E[X]/E[Y], the ratio gradient is
-    rho = (g_X - mu g_Y)/E[Y] and the variance is rho' S rho, where S
+    ``c`` carries the evidence (as set by ``set_condition``); its staged
+    query, if any, is ignored.  ``queries`` are query literals; the result
+    maps each to its answer.  The denominator Y is the root as is, and a
+    query's numerator X is the root with that query's negated leaves
+    pinned to 0.  The leaf means and (E[Y], g_Y) are computed once; each
+    query adds one numerator pass.  With mu = E[X]/E[Y], the ratio gradient
+    is rho = (g_X - mu g_Y)/E[Y] and the variance is rho' S rho, where S
     holds the label variances on its diagonal and ``leaf_cov``'s cross
-    entries off it (default: independent leaves).  O(n) time and memory.
+    entries off it (default: independent leaves).  O(n) time and memory
+    per query.  An error of the evidence (E[Y] zero or subnormal) raises
+    before any query is answered.
     """
-    c = sc.circuit
-    qneg = frozenset(c.literal_leaves(-c.query_literal))
+    queries = query_literals(c, queries)
     leaf_means = _leaf_means(c, labels)
     mean_den, g_den = _root_gradient(c, leaf_means, frozenset())
-    mean_num, g_num = _root_gradient(c, leaf_means, qneg)
     if mean_den == 0.0:
         raise InconsistentEvidenceError("inconsistent evidence")
     if mean_den < sys.float_info.min:
         # A subnormal E[Y] and its gradients keep too few bits for rho.
         raise ArithmeticError(f"E[evidence] = {mean_den!r} is subnormal")
-    mean = mean_num / mean_den
-    # The numerator's leaves are a subset of the denominator's.
-    rho = {v: (g_num.get(v, 0.0) - mean * d) / mean_den
-           for v, d in g_den.items()}
-    terms = [labels.variance_of(v) * r * r for v, r in rho.items()]
-    if leaf_cov is not None:
-        terms += [2.0 * cij * rho.get(i, 0.0) * rho.get(j, 0.0)
-                  for (i, j), cij in leaf_cov.cross_entries.items()]
-    var = math.fsum(terms)
-    bound = max(mean, 0.0) * max(1.0 - mean, 0.0)
-    clamped = not 0.0 <= var <= bound
-    var = min(max(var, 0.0), bound)
-    return QueryResult(mean, var, betacalc.moment_match(Moments(mean, var)),
-                       clamped)
+    out = {}
+    for q in queries:
+        mean_num, g_num = _root_gradient(c, leaf_means,
+                                         frozenset(c.literal_leaves(-q)))
+        mean = mean_num / mean_den
+        # The numerator's leaves are a subset of the denominator's.
+        rho = {v: (g_num.get(v, 0.0) - mean * d) / mean_den
+               for v, d in g_den.items()}
+        terms = [labels.variance_of(v) * r * r for v, r in rho.items()]
+        if leaf_cov is not None:
+            terms += [2.0 * cij * rho.get(i, 0.0) * rho.get(j, 0.0)
+                      for (i, j), cij in leaf_cov.cross_entries.items()]
+        var = math.fsum(terms)
+        bound = max(mean, 0.0) * max(1.0 - mean, 0.0)
+        clamped = not 0.0 <= var <= bound
+        var = min(max(var, 0.0), bound)
+        out[q] = QueryResult(mean, var,
+                             betacalc.moment_match(Moments(mean, var)),
+                             clamped)
+    return out
+
+
+def eval_cov(sc: ShadowedCircuit, labels: LabelTable,
+             leaf_cov: Optional[LeafCovariance] = None) -> QueryResult:
+    """Conditioned mean and first-order variance of the staged query.
+
+    Only ``sc.circuit`` is read: this is ``eval_cov_queries`` on its staged
+    query.
+    """
+    q = sc.circuit.query_literal
+    return eval_cov_queries(sc.circuit, (q,), labels, leaf_cov)[q]

@@ -20,32 +20,37 @@ conditionals:
 A run has three stages.
 
 1. *Label stream*, in the calling process.  ``default_rng(seed)`` draws
-   every label set up front: the truths, the evidence, the staged
+   every label set up front: the truths, the evidence, the evidence
    circuits, the true conditionals and the fitted labels.
-2. *Tasks*.  The golden run (one ``mc_eval_queries`` call per label set:
-   every query of the set is scored on one shared draw of the leaves) owns
-   one child of ``SeedSequence(seed)``.  All ``mc:<k>`` backends form one
-   task, which owns the other child and takes turns per label set in the
-   order of ``backends``.  Each of cpb, mm and sl is a task of its own and
-   draws nothing, so its records do not depend on any Monte Carlo
-   setting.  Where the platform can fork, the tasks run in forked workers,
-   one per task up to the CPUs this process may use, golden run first;
-   elsewhere they run in-process, in the same order.  The pool lives only
-   for the call.  A task's exception reaches the caller with its type.
-3. *Merge*, in the calling process.  Each record is tagged with its
-   (label-set index, query), which finds its golden strength; each
-   backend's records keep the label-set order, and ``_aggregate`` scores
-   them.
+2. *Shards*.  ``SeedSequence(seed).spawn(2)`` gives a golden and an
+   ``mc`` seed, and each spawns one child per label set.  Set i's golden
+   draw (one ``mc_eval_queries`` call scores every query of the set on one
+   shared draw of the leaves) uses the golden seed's child i.  Its
+   ``mc:<k>`` backends share a generator from the ``mc`` seed's child i,
+   taking turns in the order of ``backends``.  cpb, mm and sl draw
+   nothing, so their records do not depend on any Monte Carlo setting.
+   Each backend
+   answers all of a set's queries in one call on the evidence circuit;
+   inconsistent evidence fails every query of the set, and any other error
+   only the query it belongs to.  A shard runs the golden run and every
+   backend over a contiguous range of label sets.  Where the platform can
+   fork and more than one CPU is usable, there is one shard per usable CPU,
+   each in a forked worker, and none runs in the calling process; else one
+   shard runs in-process.  The pool lives only for the call.  A shard's
+   exception reaches the caller with its type.
+3. *Merge*, in the calling process.  The shards' records are joined in
+   label-set order, and ``_aggregate`` scores them.
 
 Everything except the wall-clock numbers is deterministic for a fixed
-seed, and the metric CSVs (rmse / calibration / correlation) are emitted
-byte-identically across runs, whether the tasks ran in workers or
-in-process.
+seed.  As every label set's draws come from its own streams, the metric
+CSVs (rmse / calibration / correlation) are byte-identical across runs and
+whatever the number of shards, forked or in-process.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import multiprocessing
 import os
@@ -61,12 +66,15 @@ from scipy.stats import beta as beta_dist
 from . import betacalc
 from .betacalc import BetaLabel, Moments
 from .circuit import Circuit, LabelTable, parse_nnf, set_condition
-from .cpb import eval_cov, shadow_circuit
+# eval_cov, shadow_circuit and mc_eval are imported only as the names
+# that bench/workloads.py wraps.
+from .cpb import eval_cov, eval_cov_queries, shadow_circuit
 from .examples import BUILTIN_MODELS, ExampleModel, point_labels
 from .learn import fit_complete, sample_observations
 from .mc import mc_eval, mc_eval_queries, mc_strength
 from .semirings import (InconsistentEvidenceError, conditioned_eval,
-                        mm_semiring, prob_semiring, sl_semiring)
+                        conditioned_eval_queries, mm_semiring, prob_semiring,
+                        sl_semiring)
 
 DEFAULT_GAMMAS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
@@ -103,6 +111,8 @@ class ExperimentConfig:
                              f"choose from {sorted(BUILTIN_MODELS)}")
         if self.circuit_file is not None and not self.query_vars:
             raise ValueError("query_vars is required with circuit_file")
+        if self.model is not None:
+            _check_model_options(self.model, self.model_options)
         for name in ("n_ins", "truth_draws", "repetitions", "seed",
                      "golden_samples"):
             if not isinstance(getattr(self, name), int):
@@ -139,6 +149,16 @@ class ExperimentConfig:
             return cls(**raw)
         except TypeError as exc:
             raise ValueError(f"malformed experiment config: {exc}") from exc
+
+
+def _check_model_options(model: str, options: dict) -> None:
+    if not isinstance(options, dict):
+        raise ValueError("model_options must be an object")
+    accepted = inspect.signature(BUILTIN_MODELS[model]).parameters
+    for key in options:
+        if key not in accepted:
+            raise ValueError(f"model {model!r} has no option {key!r}; "
+                             f"choose from {sorted(accepted)}")
 
 
 def _check_backend(name: str) -> None:
@@ -237,39 +257,37 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------
 
 def _label_record(truth: float, lab: BetaLabel, mean: float, variance: float,
-                  seconds: float) -> TrialRecord:
+                  seconds: float, golden_strength: Optional[float]
+                  ) -> TrialRecord:
     if lab.certain is not None:
         ap = an = float("inf")
         strength = float("inf")
     else:
         ap, an, strength = lab.alpha_pos, lab.alpha_neg, lab.strength
-    return TrialRecord(truth, mean, variance, ap, an, strength, seconds)
+    return TrialRecord(truth, mean, variance, ap, an, strength, seconds,
+                       golden_strength)
 
 
-def _run_backend(name: str, staged: Circuit, labels: LabelTable,
-                 truth: float, rng: np.random.Generator) -> TrialRecord:
-    t0 = time.perf_counter()
+def _run_backend(name: str, c: Circuit, queries: tuple[int, ...],
+                 labels: LabelTable, rng: np.random.Generator
+                 ) -> dict[int, tuple[BetaLabel, float, float]]:
+    """Each query's (label, mean, variance), from one call on the evidence
+    circuit ``c``."""
     if name == "cpb":
-        res = eval_cov(shadow_circuit(staged), labels)
-        dt = time.perf_counter() - t0
-        return _label_record(truth, res.matched, res.mean, res.variance, dt)
-    if name == "mm":
-        spec = mm_semiring()
-        v = conditioned_eval(staged, spec, labels)
+        return {q: (r.matched, r.mean, r.variance) for q, r in
+                eval_cov_queries(c, queries, labels).items()}
+    if name.startswith("mc:"):
+        return {q: (betacalc.moment_match(Moments(r.mean, r.variance)),
+                    r.mean, r.variance) for q, r in
+                mc_eval_queries(c, queries, labels, int(name[3:]),
+                                seed=rng).items()}
+    spec = mm_semiring() if name == "mm" else sl_semiring()
+    out = {}
+    for q, v in conditioned_eval_queries(c, spec, labels, queries).items():
         lab = spec.to_label(v)
-        dt = time.perf_counter() - t0
-        return _label_record(truth, lab, lab.mean, lab.variance, dt)
-    if name == "sl":
-        spec = sl_semiring()
-        op = conditioned_eval(staged, spec, labels)
-        lab = spec.to_label(op)
-        dt = time.perf_counter() - t0
-        return _label_record(truth, lab, op.projected, lab.variance, dt)
-    k = int(name[3:])
-    res = mc_eval(staged, labels, k, seed=rng)
-    lab = betacalc.moment_match(Moments(res.mean, res.variance))
-    dt = time.perf_counter() - t0
-    return _label_record(truth, lab, res.mean, res.variance, dt)
+        out[q] = (lab, lab.mean if name == "mm" else v.projected,
+                  lab.variance)
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -297,29 +315,33 @@ def _draw_truth(model: ExampleModel, rng: np.random.Generator
 
 @dataclass
 class _LabelSet:
-    """One repetition's inputs: staged circuits, true conditionals, labels."""
+    """One repetition's inputs: evidence circuit, true conditionals, labels,
+    and the seeds of its golden draw and its ``mc:<k>`` stream."""
 
     evidence_circuit: Circuit
-    staged: dict[int, Circuit]
     true_cond: dict[int, float]
     labels: LabelTable
+    golden_seed: np.random.SeedSequence
+    mc_seed: np.random.SeedSequence
 
 
 @dataclass
 class _Job:
-    """What every task reads; forked workers inherit it without pickling."""
+    """What every shard reads; forked workers inherit it without pickling."""
 
     queries: tuple[int, ...]
-    sets: list[_LabelSet]
+    backends: tuple[str, ...]
     golden_samples: int
-    golden_rng: np.random.Generator
-    mc_rng: np.random.Generator
+    sets: list[_LabelSet]
 
 
 def _label_sets(cfg: ExperimentConfig, model: ExampleModel) -> list[_LabelSet]:
     """Every label set of the run, drawn from the label stream in order."""
     rng = np.random.default_rng(cfg.seed)
     n_truths, n_reps = cfg.trial_shape
+    golden_seeds, mc_seeds = (
+        child.spawn(n_truths * n_reps)
+        for child in np.random.SeedSequence(cfg.seed).spawn(2))
     sets = []
     for _ in range(n_truths):
         truth = _draw_truth(model, rng)
@@ -328,55 +350,71 @@ def _label_sets(cfg: ExperimentConfig, model: ExampleModel) -> list[_LabelSet]:
         point = point_labels(truth)
         evidence_circuit = set_condition(circuit, query=None,
                                          evidence=model.prob_evidence)
-        staged: dict[int, Circuit] = {}
-        true_cond: dict[int, float] = {}
-        for q in model.query_vars:
-            cq = set_condition(circuit, query=q, evidence=model.prob_evidence)
-            staged[q] = cq
-            true_cond[q] = conditioned_eval(cq, prob_semiring(), point)
+        true_cond = {q: conditioned_eval(
+            set_condition(circuit, query=q, evidence=model.prob_evidence),
+            prob_semiring(), point) for q in model.query_vars}
         for _ in range(n_reps):
             data, variables = sample_observations(truth, cfg.n_ins, rng)
             labels, _ = fit_complete(data, variables,
                                      tied_groups=model.tied_groups)
-            sets.append(_LabelSet(evidence_circuit, staged, true_cond, labels))
+            i = len(sets)
+            sets.append(_LabelSet(evidence_circuit, true_cond, labels,
+                                  golden_seeds[i], mc_seeds[i]))
     return sets
 
 
-def _golden_task(job: _Job) -> dict[tuple[int, int], float]:
-    """Golden strength per (label-set index, query)."""
-    golden = {}
-    for i, s in enumerate(job.sets):
-        runs = mc_eval_queries(s.evidence_circuit, job.queries, s.labels,
-                               job.golden_samples, seed=job.golden_rng)
-        for q, r in runs.items():
-            golden[i, q] = mc_strength(r.samples)
-    return golden
+def _shard(job: _Job, lo: int, hi: int
+           ) -> tuple[dict[str, list[TrialRecord]], dict[str, int]]:
+    """Every backend's records and failure counts on label sets lo..hi-1.
 
-
-def _backend_task(job: _Job, names: tuple[str, ...]
-                  ) -> tuple[dict[str, list], dict[str, int]]:
-    """Records tagged (label-set index, query, record), and failure counts.
-
-    Backends of one task take turns per label set, as ``mc:<k>`` backends
-    must to share the ``mc`` stream in a fixed order.
+    Per label set: the golden run, then one call per backend in the order
+    of ``backends``, the ``mc:<k>`` ones taking turns on the set's stream.
     """
-    records: dict[str, list] = {b: [] for b in names}
-    failures = {b: 0 for b in names}
-    for i, s in enumerate(job.sets):
-        for b in names:
-            for q in job.queries:
-                try:
-                    rec = _run_backend(b, s.staged[q], s.labels,
-                                       s.true_cond[q], job.mc_rng)
-                except (InconsistentEvidenceError, ValueError,
-                        ArithmeticError):
-                    failures[b] += 1
-                    continue
-                records[b].append((i, q, rec))
+    records: dict[str, list[TrialRecord]] = {b: [] for b in job.backends}
+    failures = dict.fromkeys(job.backends, 0)
+    for s in job.sets[lo:hi]:
+        golden = {}
+        if job.golden_samples > 0:
+            runs = mc_eval_queries(s.evidence_circuit, job.queries, s.labels,
+                                   job.golden_samples,
+                                   seed=np.random.default_rng(s.golden_seed))
+            golden = {q: mc_strength(r.samples) for q, r in runs.items()}
+        mc_rng = np.random.default_rng(s.mc_seed)
+        for b in job.backends:
+            failures[b] += _answer(b, s, job.queries, mc_rng, golden,
+                                   records[b])
     return records, failures
 
 
-#: Tasks run in forked workers where the platform can fork, else in-process.
+def _answer(name: str, s: _LabelSet, queries: tuple[int, ...],
+            rng: np.random.Generator, golden: dict[int, float],
+            out: list[TrialRecord]) -> int:
+    """Append one call's records to ``out``; return its failed queries.
+
+    Each record's seconds are an even share of the call.  Inconsistent
+    evidence fails every query.  Any other error re-runs the queries one
+    per call, so that it fails only the queries it belongs to.
+    """
+    t0 = time.perf_counter()
+    try:
+        answers = _run_backend(name, s.evidence_circuit, queries, s.labels,
+                               rng)
+    except InconsistentEvidenceError:
+        return len(queries)
+    except (ValueError, ArithmeticError):
+        if len(queries) == 1:
+            return 1
+        return sum(_answer(name, s, (q,), rng, golden, out)
+                   for q in queries)
+    dt = (time.perf_counter() - t0) / len(queries)
+    for q in queries:
+        lab, mean, variance = answers[q]
+        out.append(_label_record(s.true_cond[q], lab, mean, variance, dt,
+                                 golden.get(q)))
+    return 0
+
+
+#: Shards run in forked workers where the platform can fork, else in-process.
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 _worker_job: Optional[_Job] = None   # set in forked workers only, by _adopt
 
@@ -386,8 +424,8 @@ def _adopt(job: _Job) -> None:
     _worker_job = job
 
 
-def _call(fn, *args):
-    return fn(_worker_job, *args)
+def _worker_shard(lo: int, hi: int):
+    return _shard(_worker_job, lo, hi)
 
 
 def _usable_cpus() -> int:
@@ -396,18 +434,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(job: _Job, tasks: list[tuple]) -> list:
-    """Each ``fn(job, *args)`` result, in task order.
+def _run_shards(job: _Job) -> list:
+    """Each shard's result, in label-set order.
 
-    One forked worker per task up to the usable CPUs.  A task's exception
-    re-raises here with its type; the pool is joined before this returns.
+    One contiguous shard per usable CPU, each in its own forked worker, so
+    that no shard runs in (and grows) the calling process.  With one CPU,
+    or where the platform cannot fork, one shard runs in-process.  A
+    shard's exception re-raises here with its type; the pool is joined
+    before this returns.
     """
-    if not _FORK or not tasks:
-        return [fn(job, *args) for fn, *args in tasks]
-    with ProcessPoolExecutor(min(len(tasks), _usable_cpus()),
-                             mp_context=multiprocessing.get_context("fork"),
+    n_sets = len(job.sets)
+    n = min(n_sets, _usable_cpus())
+    if not _FORK or n <= 1:
+        return [_shard(job, 0, n_sets)]
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(job,)) as pool:
-        futures = [pool.submit(_call, *task) for task in tasks]
+        futures = [pool.submit(_worker_shard, n_sets * k // n,
+                               n_sets * (k + 1) // n) for k in range(n)]
         try:
             return [f.result() for f in futures]
         except BaseException:
@@ -419,30 +462,14 @@ def _run_tasks(job: _Job, tasks: list[tuple]) -> list:
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Run the full protocol and aggregate per-backend metrics."""
     model = _resolve_model(cfg)
-    golden_rng, mc_rng = (np.random.default_rng(s) for s in
-                          np.random.SeedSequence(cfg.seed).spawn(2))
-    job = _Job(model.query_vars, _label_sets(cfg, model),
-               cfg.golden_samples, golden_rng, mc_rng)
-
-    mc_names = tuple(b for b in cfg.backends if b.startswith("mc:"))
-    tasks: list[tuple] = [(_golden_task,)] if cfg.golden_samples > 0 else []
-    if mc_names:
-        tasks.append((_backend_task, mc_names))
-    # A backend listed twice still answers twice per label set.
-    tasks += [(_backend_task, (b,) * cfg.backends.count(b))
-              for b in dict.fromkeys(cfg.backends) if b not in mc_names]
-    results = _run_tasks(job, tasks)
-
-    golden = results.pop(0) if cfg.golden_samples > 0 else {}
-    records: dict[str, list[TrialRecord]] = {}
-    failures: dict[str, int] = {}
-    for tagged, fails in results:
-        failures.update(fails)
-        for b, recs in tagged.items():
-            for i, q, rec in recs:
-                rec.golden_strength = golden.get((i, q))
-            records[b] = [rec for _, _, rec in recs]
-
+    job = _Job(model.query_vars, cfg.backends, cfg.golden_samples,
+               _label_sets(cfg, model))
+    records: dict[str, list[TrialRecord]] = {b: [] for b in cfg.backends}
+    failures = dict.fromkeys(cfg.backends, 0)
+    for shard_records, shard_failures in _run_shards(job):
+        for b, recs in shard_records.items():
+            records[b] += recs
+            failures[b] += shard_failures[b]
     metrics = {b: _aggregate(b, records[b], failures[b], cfg.gammas)
                for b in cfg.backends}
     return MetricsReport(cfg, metrics)

@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, Iterable
 
 from . import betacalc
 from .betacalc import Moments
-from .circuit import Circuit, CircuitError, CircuitNode, LabelTable, NodeKind
+from .circuit import (Circuit, CircuitNode, LabelTable, NodeKind,
+                      query_literals)
 from .semirings import InconsistentEvidenceError
 
 if TYPE_CHECKING:
@@ -179,19 +180,13 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     """
     import numpy as np
 
-    queries = tuple(dict.fromkeys(queries))
-    if not queries:
-        raise ValueError("no queries given")
+    queries = query_literals(c, queries)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    leaf_vars = {n.var for n in c.nodes if n.kind is NodeKind.LITERAL}
-    for q in queries:
-        if abs(q) not in leaf_vars:
-            raise CircuitError(
-                f"query variable {abs(q)} does not occur in circuit")
     rng = (seed if isinstance(seed, np.random.Generator)
            else np.random.default_rng(seed))
-    circuit_vars = sorted(v for v in leaf_vars if v in labels)
+    circuit_vars = sorted({n.var for n in c.nodes
+                           if n.kind is NodeKind.LITERAL and n.var in labels})
     plan = _SweepPlan.build(c, queries)
 
     accepted: dict[int, list[np.ndarray]] = {q: [] for q in queries}

@@ -14,7 +14,8 @@ Three pluggable value domains instantiate the generic circuit sweep:
 
 Conditioning evaluates the circuit twice: once with the negated-query
 leaves forced to the additive identity (yielding the joint of query and
-evidence) and once as-is (yielding the evidence), then divides.
+evidence) and once as-is (yielding the evidence), then divides.  Queries
+on one evidence circuit share the evidence pass.
 
 Neither the opinion calculus nor moment propagation forms a true semiring:
 their uncertainty components are order-dependent, so the fold order over
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments, Opinion
-from .circuit import Circuit, LabelTable, eval_circuit
+from .circuit import Circuit, LabelTable, eval_circuit, query_literals
 
 
 class InconsistentEvidenceError(ValueError):
@@ -195,22 +196,35 @@ def evaluate(c: Circuit, spec: SemiringSpec, labels: LabelTable,
         zero_literals=zero_literals)
 
 
-def conditioned_eval(c: Circuit, spec: SemiringSpec, labels: LabelTable):
-    """Conditional label of the staged query given the staged evidence.
+def conditioned_eval_queries(c: Circuit, spec: SemiringSpec,
+                             labels: LabelTable, queries: Iterable[int]
+                             ) -> dict[int, object]:
+    """Conditional value of each query given the evidence carried by ``c``.
 
-    Computes the joint pass (negated-query leaves forced to the additive
-    identity) and the evidence pass, and divides; the passes share one
-    conversion of each literal's label.  Requires a query set by
-    ``set_condition``; raises InconsistentEvidenceError when the evidence
-    evaluates to the additive identity.
+    ``c``'s staged query, if any, is ignored; ``queries`` are query
+    literals.  One evidence pass serves every query, and each query adds
+    its joint pass (its negated leaves forced to the additive identity) and
+    one division; all passes share one conversion of each literal's label.
+    Raises InconsistentEvidenceError when the evidence evaluates to the
+    additive identity.
     """
-    if c.query_literal is None:
-        raise ValueError("circuit has no staged query; call set_condition first")
+    queries = query_literals(c, queries)
     sweep = partial(eval_circuit, c, spec.zero, spec.one, spec.plus,
                     spec.times, cache(lambda lit: spec.from_label(
                         labels.label_of(lit))))
-    joint = sweep(zero_literals=frozenset((-c.query_literal,)))
     ev = sweep()
     if spec.is_zero(ev):
         raise InconsistentEvidenceError("inconsistent evidence")
-    return spec.divide(joint, ev)
+    return {q: spec.divide(sweep(zero_literals=frozenset((-q,))), ev)
+            for q in queries}
+
+
+def conditioned_eval(c: Circuit, spec: SemiringSpec, labels: LabelTable):
+    """Conditional label of the staged query given the staged evidence.
+
+    ``conditioned_eval_queries`` on the query set by ``set_condition``.
+    """
+    if c.query_literal is None:
+        raise ValueError("circuit has no staged query; call set_condition first")
+    q = c.query_literal
+    return conditioned_eval_queries(c, spec, labels, (q,))[q]

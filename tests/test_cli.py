@@ -219,8 +219,10 @@ class TestExperiment:
         ({"model": "net1", "seed": "x"}, "seed must be an integer"),
         ({"model": "net1", "backends": 5}, "malformed experiment config"),
         (["net1"], "must be a JSON object"),
+        ({"model": "net1", "model_options": {"bogus": 1}, "fast": True},
+         "model 'net1' has no option 'bogus'"),
     ], ids=["unknown-key", "wrong-type", "wrong-seed-type", "not-a-list",
-            "not-an-object"])
+            "not-an-object", "unknown-model-option"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, raw, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(raw))

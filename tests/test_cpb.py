@@ -12,11 +12,14 @@ from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
                                   parse_nnf, set_condition)
 from betacircuits.compile import (Theory, f_and, f_iff, f_not, f_or, f_var,
                                   shannon_compile)
-from betacircuits.cpb import (LeafCovariance, eval_cov,
+from betacircuits.cpb import (LeafCovariance, eval_cov, eval_cov_queries,
                               parse_leaf_cov, shadow_circuit)
-from betacircuits.examples import burglary_circuit, burglary_labels
+from betacircuits.examples import (BUILTIN_MODELS, burglary_circuit,
+                                   burglary_labels)
 from betacircuits.semirings import (InconsistentEvidenceError,
-                                    conditioned_eval, prob_semiring)
+                                    conditioned_eval,
+                                    conditioned_eval_queries, mm_semiring,
+                                    prob_semiring, sl_semiring)
 
 from dense_reference import conditioned_moments, moment_sweep
 
@@ -244,6 +247,47 @@ class TestProperties:
         dead = set_condition(c, query=1, evidence=[(1, False)])
         with pytest.raises(InconsistentEvidenceError):
             eval_cov(shadow_circuit(dead), LabelTable({1: BetaLabel(2, 2)}))
+
+
+class TestManyQueries:
+    """One evidence circuit, every query: the answers of one-query calls."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_builtin_queries_match_one_query_calls(self, name):
+        rng = random.Random(name)
+        model = BUILTIN_MODELS[name]()
+        circuit = model.circuit({v: rng.random() < 0.5
+                                 for v in model.random_evidence_vars})
+        labels = random_labels(rng, model.prob_vars)
+        v1, v2 = model.prob_vars[:2]
+        cov = LeafCovariance({(v1, -v2): 1e-4})
+        ev = set_condition(circuit, None, model.prob_evidence)
+        queries = model.query_vars + tuple(-q for q in model.query_vars)
+        batch = eval_cov_queries(ev, queries, labels, cov)
+        specs = (prob_semiring(), mm_semiring(), sl_semiring())
+        values = [conditioned_eval_queries(ev, spec, labels, queries)
+                  for spec in specs]
+        assert list(batch) == list(queries)
+        for q in queries:
+            staged = set_condition(circuit, q, model.prob_evidence)
+            assert batch[q] == eval_cov(shadow_circuit(staged), labels, cov)
+            for spec, got in zip(specs, values):
+                assert got[q] == conditioned_eval(staged, spec, labels)
+
+    def test_checks_queries(self):
+        c = burglary_circuit()
+        with pytest.raises(CircuitError, match="does not occur"):
+            eval_cov_queries(c, (1, 4), burglary_labels())
+        with pytest.raises(ValueError, match="no queries"):
+            eval_cov_queries(c, (), burglary_labels())
+
+    def test_inconsistent_evidence_fails_every_query(self):
+        dead = set_condition(burglary_circuit(), None, [(3, False)])
+        with pytest.raises(InconsistentEvidenceError):
+            eval_cov_queries(dead, (1, 2), burglary_labels())
+        with pytest.raises(InconsistentEvidenceError):
+            conditioned_eval_queries(dead, mm_semiring(), burglary_labels(),
+                                     (1, 2))
 
 
 def assert_matches_dense(sc, labels, leaf_cov=None):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from betacircuits import harness
+from betacircuits.examples import BUILTIN_MODELS
 from betacircuits.harness import (DEFAULT_GAMMAS, ExperimentConfig,
                                   run_experiment)
 from betacircuits.semirings import InconsistentEvidenceError
@@ -166,26 +167,26 @@ def metric_csvs(cfg, outdir):
     return {name: (outdir / name).read_bytes() for name in METRIC_CSVS}
 
 
-def fail_some_label_sets(monkeypatch):
-    """Make cpb raise ZeroDivisionError on a fixed subset of label sets.
+def fail_some_label_sets(monkeypatch, error=ZeroDivisionError):
+    """Make cpb raise ``error`` on a fixed subset of label sets.
 
     A label set fails when its lowest variable was seen true 0, 3, 6 or
     9 times in 10 observations.  Forked workers inherit the patch.
     """
-    eval_cov = harness.eval_cov
+    eval_cov_queries = harness.eval_cov_queries
 
-    def failing(sc, labels, leaf_cov=None):
+    def failing(c, queries, labels, leaf_cov=None):
         if labels.label_of(labels.variables[0]).alpha_pos % 3 == 1:
-            raise ZeroDivisionError("float division by zero")
-        return eval_cov(sc, labels, leaf_cov)
+            raise error("float division by zero")
+        return eval_cov_queries(c, queries, labels, leaf_cov)
 
-    monkeypatch.setattr(harness, "eval_cov", failing)
+    monkeypatch.setattr(harness, "eval_cov_queries", failing)
 
 
 def failing_config():
-    # With fail_some_label_sets, cpb fails on 11 of the 30 label sets, so
-    # its records skip label sets and must find their golden strengths by
-    # (label-set index, query) tag.
+    # With fail_some_label_sets, cpb fails on 11 of the 30 label sets and
+    # skips them, so each record has to take its golden strength from its
+    # own set's golden run, by query and not by position.
     return ExperimentConfig(model="net2", n_ins=10, truth_draws=6,
                             repetitions=5, backends=("cpb",), seed=3,
                             golden_samples=100)
@@ -194,6 +195,7 @@ def failing_config():
 class TestWorkers:
     @pytest.mark.skipif(not harness._FORK, reason="needs the fork start method")
     def test_workers_match_in_process(self, tmp_path, monkeypatch):
+        # The output does not depend on how the label sets are sharded.
         mixed = ("cpb", "mm", "sl", "mc:200", "mc:300")
         cells = {
             "net1": small_config(model="net1", truth_draws=10, repetitions=3,
@@ -206,40 +208,50 @@ class TestWorkers:
         pools = []
 
         class CountedPool(harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(args)
-                super().__init__(*args, **kwargs)
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
         for tag, cfg in cells.items():
             with monkeypatch.context() as m:
                 if tag == "failing":
                     fail_some_label_sets(m)
-                forked = metric_csvs(cfg, tmp_path / tag / "forked")
                 m.setattr(harness, "_FORK", False)
-                in_process = metric_csvs(cfg, tmp_path / tag / "in-process")
-            assert forked == in_process, tag
-        assert len(pools) == len(cells)
+                expected = metric_csvs(cfg, tmp_path / tag / "in-process")
+                m.setattr(harness, "_FORK", True)
+                for cpus in (1, 2, 3, 7):
+                    m.setattr(harness, "_usable_cpus", lambda: cpus)
+                    out = metric_csvs(cfg, tmp_path / tag / str(cpus))
+                    assert out == expected, (tag, cpus)
+        assert pools == [2, 3, 7] * len(cells)
 
     def test_mixed_cell_output_is_pinned(self, tmp_path):
-        # Two mc backends between the analytic ones: the mc stream is
-        # shared in the order of the backends, per label set.
+        # Two mc backends between the analytic ones: each label set's mc
+        # stream is shared in the order of the backends.  The cpb, mm and
+        # sl rows draw nothing, so they keep the values they had before the
+        # golden run and mc:<k> drew from per-set streams.
         cfg = small_config(truth_draws=10, repetitions=3, seed=13,
                            backends=("mc:200", "cpb", "mm", "mc:300", "sl"))
         out = metric_csvs(cfg, tmp_path)
         assert out["rmse.csv"] == (
             b"backend,n_ins,trials,failures,actual_rmse,predicted_rmse\r\n"
             b"cpb,20,30,0,0.09557069832,0.0957216272\r\n"
-            b"mc:200,20,30,0,0.09281393449,0.09480569066\r\n"
-            b"mc:300,20,30,0,0.09494215912,0.09361948909\r\n"
+            b"mc:200,20,30,0,0.09577234201,0.09436896182\r\n"
+            b"mc:300,20,30,0,0.09865928217,0.09438063844\r\n"
             b"mm,20,30,0,0.09557069832,0.1517343462\r\n"
             b"sl,20,30,0,0.2666689674,0.1988785086\r\n")
         assert out["correlation.csv"] == (
-            b"backend,pearson_r\r\ncpb,0.9771166818\r\n"
-            b"mc:200,0.9573833056\r\nmc:300,0.9417351425\r\n"
-            b"mm,0.6798739388\r\nsl,-0.1364038318\r\n")
-        assert hashlib.sha256(out["calibration.csv"]).hexdigest() == (
-            "e4be9bf957a74d84945a33b71258da5288e797501c5c0ae3e94892f6dfd780df")
+            b"backend,pearson_r\r\ncpb,0.981155283\r\n"
+            b"mc:200,0.9548370182\r\nmc:300,0.9568244422\r\n"
+            b"mm,0.7105118583\r\nsl,-0.08685121497\r\n")
+        rows = out["calibration.csv"].splitlines(keepends=True)
+        analytic = b"".join(r for r in rows if not r.startswith(b"mc:"))
+        mc = b"".join(r for r in rows if r.startswith(b"mc:"))
+        assert hashlib.sha256(analytic).hexdigest() == (
+            "9adaa26905e3aa15599fa07d3abbe9771e795c7ed7aeb2f8c5ce7256242f06fa")
+        assert hashlib.sha256(mc).hexdigest() == (
+            "16b376adc73fed106c9550b3364a11968caa19d3b22a42648c3136cecf9249df")
 
     def test_failed_trials_keep_their_golden_strengths(self, tmp_path,
                                                         monkeypatch):
@@ -249,7 +261,27 @@ class TestWorkers:
             b"backend,n_ins,trials,failures,actual_rmse,predicted_rmse\r\n"
             b"cpb,10,57,33,0.1620682246,0.1746316311\r\n")
         assert out["correlation.csv"] == (
-            b"backend,pearson_r\r\ncpb,0.9701369469\r\n")
+            b"backend,pearson_r\r\ncpb,0.9785907347\r\n")
+
+    def test_error_fails_only_its_query(self, monkeypatch):
+        # One call answers a label set's three queries; an error that is
+        # not the evidence's fails only the query it belongs to.
+        eval_cov_queries = harness.eval_cov_queries
+        bad = BUILTIN_MODELS["net2"]().query_vars[1]
+
+        def failing(c, queries, labels, leaf_cov=None):
+            if bad in queries:
+                raise ZeroDivisionError("float division by zero")
+            return eval_cov_queries(c, queries, labels, leaf_cov)
+
+        monkeypatch.setattr(harness, "eval_cov_queries", failing)
+        m = run_experiment(failing_config()).backends["cpb"]
+        assert (m.trials, m.failures) == (60, 30)
+
+    def test_evidence_error_fails_every_query(self, monkeypatch):
+        fail_some_label_sets(monkeypatch, InconsistentEvidenceError)
+        m = run_experiment(failing_config()).backends["cpb"]
+        assert (m.trials, m.failures) == (57, 33)
 
     def test_task_error_reraises_and_leaves_no_child(self, monkeypatch):
         # A forked worker inherits the patch; its error reaches the caller
