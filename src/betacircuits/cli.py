@@ -111,7 +111,8 @@ def _alpha(label: BetaLabel, positive: bool) -> str:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # Imported here so that ``infer`` does not pay for loading scipy.
+    # Imported here so that ``infer`` does not pay for loading numpy and
+    # scipy.special.
     from .harness import ExperimentConfig, run_experiment
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     report = run_experiment(cfg)

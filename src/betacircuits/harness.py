@@ -12,7 +12,8 @@ conditionals:
 * predicted RMSE = sqrt of the mean reported variance (a calibrated
   backend predicts its own error);
 * coverage curves: for each significance level gamma, the fraction of
-  trials whose central beta interval of mass gamma contains the truth;
+  trials whose central beta interval of mass gamma contains the truth,
+  i.e. whose beta CDF at the truth lies within gamma/2 of 1/2;
 * Pearson correlation of the reported Dirichlet strengths against a
   golden-standard Monte Carlo run on the same fitted labels;
 * per-query wall-clock distributions.
@@ -50,6 +51,7 @@ whatever the number of shards, forked or in-process.
 from __future__ import annotations
 
 import csv
+import importlib
 import inspect
 import json
 import multiprocessing
@@ -61,22 +63,37 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments
 from .circuit import Circuit, LabelTable, parse_nnf, set_condition
-# eval_cov, shadow_circuit and mc_eval are imported only as the names
-# that bench/workloads.py wraps.
-from .cpb import eval_cov, eval_cov_queries, shadow_circuit
+from .cpb import eval_cov_queries
 from .examples import BUILTIN_MODELS, ExampleModel, point_labels
 from .learn import fit_complete, sample_observations
-from .mc import mc_eval, mc_eval_queries, mc_strength
+from .mc import mc_eval_queries, mc_strength
 from .semirings import (InconsistentEvidenceError, conditioned_eval,
                         conditioned_eval_queries, mm_semiring, prob_semiring,
                         sl_semiring)
 
 DEFAULT_GAMMAS = tuple(round(0.05 * k, 2) for k in range(1, 20))
+
+# Names that nothing here calls, served only because
+# bench/workloads.py::Calibrate.round_targets wraps them by these names in
+# the traced ``calibrate``.  They resolve on lookup, so that importing the
+# harness does not load scipy.stats.  Delete this shim with ROADMAP item 1,
+# which drops those targets.
+_BENCH_NAMES = {"beta_dist": ("scipy.stats", "beta"),
+                "eval_cov": (".cpb", "eval_cov"),
+                "shadow_circuit": (".cpb", "shadow_circuit"),
+                "mc_eval": (".mc", "mc_eval")}
+
+
+def __getattr__(name: str):
+    if name not in _BENCH_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _BENCH_NAMES[name]
+    return getattr(importlib.import_module(module, __package__), attr)
 
 
 @dataclass(frozen=True)
@@ -505,7 +522,10 @@ def _coverage(recs: list[TrialRecord], gammas: tuple[float, ...]
     """Per gamma, the fraction of trials whose central beta interval
     covers the truth.
 
-    Certain labels (infinite alphas) cover only a truth equal to their mean.
+    The interval of mass gamma covers t when the label's CDF at t lies in
+    [(1 - gamma)/2, (1 + gamma)/2], so one ``betainc`` per record serves
+    every gamma.  Certain labels (infinite alphas) cover only a truth equal
+    to their mean.
     """
     truth = np.array([r.truth for r in recs])
     mean = np.array([r.mean for r in recs])
@@ -515,11 +535,10 @@ def _coverage(recs: list[TrialRecord], gammas: tuple[float, ...]
     hits = np.full(len(gammas), np.count_nonzero(
         np.abs(truth - mean)[~finite] < 1e-9))
     if finite.any():
-        t, a, b = truth[finite], a[finite], b[finite]
+        cdf = betainc(a[finite], b[finite], truth[finite])
         g = np.array(gammas)[:, None]
-        lo = beta_dist.ppf((1.0 - g) / 2.0, a, b)
-        hi = beta_dist.ppf((1.0 + g) / 2.0, a, b)
-        hits += np.count_nonzero((lo <= t) & (t <= hi), axis=1)
+        hits += np.count_nonzero(((1.0 - g) / 2.0 <= cdf)
+                                 & (cdf <= (1.0 + g) / 2.0), axis=1)
     return {g: int(h) / len(recs) for g, h in zip(gammas, hits)}
 
 

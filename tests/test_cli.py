@@ -234,13 +234,26 @@ class TestExperiment:
         assert "Traceback" not in err
 
 
-def test_import_does_not_load_scipy():
-    # ``infer`` never needs scipy; only ``experiment`` (via harness) does.
-    code = "import sys, betacircuits.cli; print('scipy' in sys.modules)"
+def _loaded_in_fresh_process(module: str, imported: str) -> str:
+    """Whether importing ``imported`` loads ``module``: "True" or "False"."""
+    code = f"import sys, {imported}; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip()
+
+
+def test_import_does_not_load_scipy():
+    # ``infer`` never needs scipy; ``experiment`` (via harness) loads only
+    # ``scipy.special``.
+    assert _loaded_in_fresh_process("scipy", "betacircuits.cli") == "False"
+
+
+def test_harness_import_does_not_load_scipy_stats():
+    # Coverage needs one ``betainc`` per record, not scipy.stats' inverse
+    # CDFs; loading scipy.stats would more than double the import time.
+    assert _loaded_in_fresh_process("scipy.stats",
+                                    "betacircuits.harness") == "False"
 
 
 def test_infer_without_arrays_does_not_load_numpy(burglary_files, tmp_path):

@@ -328,3 +328,64 @@ class TestCoverage:
         coverage = harness._coverage(recs, DEFAULT_GAMMAS)
         for gamma in DEFAULT_GAMMAS:
             assert coverage[gamma] == scalar(gamma)
+
+    @staticmethod
+    def _hits(alpha, beta_, truth):
+        """Per gamma and record, whether the ppf interval covers the truth
+        and whether ``_coverage`` (the CDF form) counts it."""
+        from scipy.stats import beta
+
+        g = np.array(DEFAULT_GAMMAS)[:, None]
+        lo = beta.ppf((1.0 - g) / 2.0, alpha, beta_)
+        hi = beta.ppf((1.0 + g) / 2.0, alpha, beta_)
+        ppf = (lo <= truth) & (truth <= hi)
+        cdf = np.array([[harness._coverage(
+            [harness.TrialRecord(t, a / (a + b), 0.0, a, b, a + b, 0.0)],
+            DEFAULT_GAMMAS)[gamma] == 1.0
+            for a, b, t in zip(alpha, beta_, truth)]
+            for gamma in DEFAULT_GAMMAS])
+        return ppf, cdf
+
+    def test_cdf_form_matches_ppf_interval_for_alphas_from_one(self):
+        from betacircuits.betacalc import MAX_STRENGTH
+        from scipy.stats import beta
+
+        rng = np.random.default_rng(14)
+        n = 200
+        alpha = 10.0 ** rng.uniform(0.0, 12.0, n)
+        beta_ = 10.0 ** rng.uniform(0.0, 12.0, n)
+        # Labels saturated at MAX_STRENGTH, as moment matching leaves them.
+        m = rng.uniform(0.01, 0.99, n // 4)
+        alpha = np.concatenate([alpha, m * MAX_STRENGTH, [1.0, 1.0]])
+        beta_ = np.concatenate([beta_, (1.0 - m) * MAX_STRENGTH, [1.0, 1.0]])
+        # Truths near each label's mass, where coverage is decided, and
+        # spread over [0, 1]; the uniform label meets both end points.
+        near = beta.rvs(alpha[:-2], beta_[:-2], random_state=rng)
+        truth = np.concatenate([near, [0.0, 1.0]])
+        spread = rng.uniform(0.0, 1.0, n)
+        ppf, cdf = self._hits(alpha, beta_, truth)
+        assert 0.3 < ppf.mean() < 0.7
+        np.testing.assert_array_equal(cdf, ppf)
+        ppf, cdf = self._hits(alpha[:n], beta_[:n], spread)
+        np.testing.assert_array_equal(cdf, ppf)
+
+    def test_cdf_form_below_one_differs_only_at_the_ends(self):
+        rng = np.random.default_rng(15)
+        n = 400
+        alpha = 10.0 ** rng.uniform(-3.0, 1.0, n)
+        beta_ = 10.0 ** rng.uniform(-3.0, 1.0, n)
+        below = np.minimum(alpha, beta_) < 1.0
+        alpha, beta_ = alpha[below], beta_[below]
+        truth = rng.uniform(0.0, 1.0, len(alpha))
+        assert len(alpha) > n // 2
+        ppf, cdf = self._hits(alpha, beta_, truth)
+        np.testing.assert_array_equal(cdf, ppf)
+        # The forms part only where a truth lies at 0 or 1, or within
+        # rounding of them, and a ppf end point rounds onto it.  Here the
+        # upper end point of the 0.7 interval rounds to 1.0, so the ppf
+        # interval covers t = 1.0, whose CDF 1.0 lies outside the band.
+        # The CDF form is the definition.
+        ppf, cdf = self._hits(np.array([0.905]), np.array([0.0504]),
+                              np.array([1.0]))
+        k = DEFAULT_GAMMAS.index(0.7)
+        assert ppf[k, 0] and not cdf[k, 0]
