@@ -119,12 +119,14 @@ class BetaLabel:
     def __post_init__(self) -> None:
         if not 0.0 < self.base_rate < 1.0:
             raise ValueError(f"base_rate must be in (0,1), got {self.base_rate}")
-        if self.prior_weight <= 0.0:
-            raise ValueError(f"prior_weight must be > 0, got {self.prior_weight}")
+        if not 0.0 < self.prior_weight < math.inf:
+            raise ValueError(f"prior_weight must be finite and > 0, got "
+                             f"{self.prior_weight}")
         if self.certain is None:
-            if self.alpha_pos <= 0.0 or self.alpha_neg <= 0.0:
+            if not (0.0 < self.alpha_pos < math.inf
+                    and 0.0 < self.alpha_neg < math.inf):
                 raise ValueError(
-                    f"alpha parameters must be > 0, got "
+                    f"alpha parameters must be finite and > 0, got "
                     f"({self.alpha_pos}, {self.alpha_neg})"
                 )
 

@@ -17,6 +17,11 @@ on a leaf makes it contribute the additive identity, which removes every
 model containing that literal from the count -- this is how evidence and
 query conditioning are pushed into the circuit without rebuilding it.
 
+``eval_queries`` is that sweep for every value domain (point
+probabilities, opinions, moment pairs, Monte Carlo sample arrays): one
+evidence sweep, and per query a joint sweep that recomputes only the
+ancestors of the negated-query leaves.
+
 File format (c2d-style NNF text):
 
     nnf <node-count> <edge-count> <var-count>
@@ -78,6 +83,8 @@ class Circuit:
     query_literal: Optional[int] = None
     _scopes: Optional[list[frozenset[int]]] = field(
         default=None, repr=False, compare=False)
+    _schedules: dict[tuple[int, ...], _Schedule] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -486,38 +493,99 @@ def parse_condition_file(text: str) -> tuple[Optional[int], list[tuple[int, bool
 # Generic semiring evaluation
 # ---------------------------------------------------------------------
 
-def eval_circuit(c: Circuit, zero, one, plus: Callable, times: Callable,
-                 leaf_value: Callable[[int], object],
-                 zero_literals: frozenset[int] = frozenset()):
-    """Single bottom-up semiring sweep over the circuit.
+@dataclass(frozen=True)
+class _Schedule:
+    """Node schedule of one evidence sweep and the per-query joint sweeps.
 
-    ``leaf_value(lit)`` supplies the label of a literal leaf; leaves with
-    lambda = 0 or whose literal is in ``zero_literals`` contribute ``zero``
-    instead.  Every node is evaluated exactly once (the node list is a
-    topological order).
-
-    Fold order over children is file order, which matters for the
-    order-dependent opinion calculus.
+    ``order`` lists the nodes that reach the root, children first.  A
+    query's ``joint`` entry holds the nodes it recomputes (the ancestors of
+    its negated-query leaves, in order) and their release schedule.  A
+    release schedule maps a node to the children whose values die once it
+    has read them.  It holds node ids only, no reference to its circuit.
     """
-    values = [None] * len(c.nodes)
-    for n in c.nodes:
-        if n.kind is NodeKind.LITERAL:
-            if n.lam == 0 or n.literal in zero_literals:
-                values[n.id] = zero
+
+    order: list[int]
+    release: dict[int, list[int]]
+    joint: dict[int, tuple[list[int], dict[int, list[int]]]]
+
+    @classmethod
+    def build(cls, c: Circuit, queries: tuple[int, ...]) -> "_Schedule":
+        nodes = c.nodes
+        # Parents that reach the root, last reader first.
+        parents: list[list[int]] = [[] for _ in nodes]
+        reach = [False] * len(nodes)
+        reach[c.root] = True
+        for n in reversed(nodes):
+            if reach[n.id]:
+                for ch in n.children:
+                    reach[ch] = True
+                    parents[ch].append(n.id)
+        order = [i for i in range(len(nodes)) if reach[i]]
+        keep = {c.root}
+        joint = {}
+        for q in queries:
+            dirty = {i for i in order
+                     if nodes[i].literal == -q and nodes[i].lam != 0}
+            stack = list(dirty)
+            while stack:
+                for p in parents[stack.pop()]:
+                    if p not in dirty:
+                        dirty.add(p)
+                        stack.append(p)
+            release: dict[int, list[int]] = {}
+            for i in dirty:
+                keep.update(ch for ch in nodes[i].children if ch not in dirty)
+                if parents[i]:
+                    release.setdefault(parents[i][0], []).append(i)
+            joint[q] = (sorted(dirty), release)
+        release = {}
+        for i in order:
+            if i not in keep:
+                release.setdefault(parents[i][0], []).append(i)
+        return cls(order, release, joint)
+
+
+def eval_queries(c: Circuit, queries: Iterable[int], zero, one,
+                 plus: Callable, times: Callable,
+                 leaf_value: Callable[[int], object]):
+    """``(evidence_root, {query: joint_root})`` by bottom-up semiring sweeps.
+
+    The evidence sweep gives a leaf with lambda = 0 ``zero`` and any other
+    literal leaf ``leaf_value(lit)``.  A query's joint sweep also gives the
+    leaves of its negation ``zero``; it recomputes only their ancestors and
+    reads every other node's evidence value, so each root equals that of
+    a full sweep.  Only nodes that reach the root are evaluated, children
+    fold in file order (the opinion and moment calculi depend on it), and
+    each value is dropped after its last reader.  ``queries`` are literals,
+    not checked against ``c``; their schedule is cached on ``c``.
+    """
+    queries = tuple(queries)
+    plan = c._schedules.get(queries)
+    if plan is None:
+        plan = c._schedules[queries] = _Schedule.build(c, queries)
+    nodes = c.nodes
+
+    def sweep(values: list, ids: list[int], release: dict[int, list[int]],
+              leaf: Callable[[int], object]) -> list:
+        for i in ids:
+            n = nodes[i]
+            if n.kind is NodeKind.LITERAL:
+                values[i] = zero if n.lam == 0 else leaf(n.literal)
+            elif n.kind is NodeKind.TRUE:
+                values[i] = one
+            elif n.kind is NodeKind.FALSE:
+                values[i] = zero
             else:
-                values[n.id] = leaf_value(n.literal)
-        elif n.kind is NodeKind.TRUE:
-            values[n.id] = one
-        elif n.kind is NodeKind.FALSE:
-            values[n.id] = zero
-        elif n.kind is NodeKind.AND:
-            acc = values[n.children[0]]
-            for ch in n.children[1:]:
-                acc = times(acc, values[ch])
-            values[n.id] = acc
-        else:
-            acc = values[n.children[0]]
-            for ch in n.children[1:]:
-                acc = plus(acc, values[ch])
-            values[n.id] = acc
-    return values[c.root]
+                op = times if n.kind is NodeKind.AND else plus
+                acc = values[n.children[0]]
+                for ch in n.children[1:]:
+                    acc = op(acc, values[ch])
+                values[i] = acc
+            for ch in release.get(i, ()):
+                values[ch] = None
+        return values
+
+    ev = sweep([None] * len(nodes), plan.order, plan.release, leaf_value)
+    joints = {q: sweep(ev.copy(), ids, release, lambda lit: zero)[c.root]
+              for q, (ids, release) in plan.joint.items()}
+    return ev[c.root], joints

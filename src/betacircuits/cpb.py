@@ -132,7 +132,10 @@ def parse_leaf_cov(text: str) -> LeafCovariance:
         if len(toks) != 3:
             raise CircuitError(f"leaf covariance line {i}: expected 3 fields")
         try:
-            cov.set(int(toks[0]), int(toks[1]), float(toks[2]))
+            value = float(toks[2])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite covariance {toks[2]}")
+            cov.set(int(toks[0]), int(toks[1]), value)
         except ValueError as exc:
             raise CircuitError(f"leaf covariance line {i}: {exc}") from exc
     return cov

@@ -72,9 +72,8 @@ from .cpb import eval_cov_queries
 from .examples import BUILTIN_MODELS, ExampleModel, point_labels
 from .learn import fit_complete, sample_observations
 from .mc import mc_eval_queries, mc_strength
-from .semirings import (InconsistentEvidenceError, conditioned_eval,
-                        conditioned_eval_queries, mm_semiring, prob_semiring,
-                        sl_semiring)
+from .semirings import (InconsistentEvidenceError, conditioned_eval_queries,
+                        mm_semiring, prob_semiring, sl_semiring)
 
 DEFAULT_GAMMAS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
@@ -84,6 +83,7 @@ DEFAULT_GAMMAS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 # harness does not load scipy.stats.  Delete this shim with ROADMAP item 1,
 # which drops those targets.
 _BENCH_NAMES = {"beta_dist": ("scipy.stats", "beta"),
+                "conditioned_eval": (".semirings", "conditioned_eval"),
                 "eval_cov": (".cpb", "eval_cov"),
                 "shadow_circuit": (".cpb", "shadow_circuit"),
                 "mc_eval": (".mc", "mc_eval")}
@@ -363,13 +363,11 @@ def _label_sets(cfg: ExperimentConfig, model: ExampleModel) -> list[_LabelSet]:
     for _ in range(n_truths):
         truth = _draw_truth(model, rng)
         ev = {v: bool(rng.integers(2)) for v in model.random_evidence_vars}
-        circuit = model.circuit(ev)
-        point = point_labels(truth)
-        evidence_circuit = set_condition(circuit, query=None,
+        evidence_circuit = set_condition(model.circuit(ev), query=None,
                                          evidence=model.prob_evidence)
-        true_cond = {q: conditioned_eval(
-            set_condition(circuit, query=q, evidence=model.prob_evidence),
-            prob_semiring(), point) for q in model.query_vars}
+        true_cond = conditioned_eval_queries(
+            evidence_circuit, prob_semiring(), point_labels(truth),
+            model.query_vars)
         for _ in range(n_reps):
             data, variables = sample_observations(truth, cfg.n_ins, rng)
             labels, _ = fit_complete(data, variables,

@@ -8,13 +8,9 @@ variance then estimate the query's posterior mean and epistemic variance.
 
 ``mc_eval_queries`` answers several queries on one evidence circuit from
 one shared draw (common random numbers): per batch it samples every leaf
-once and runs one evidence sweep.  A query's joint sweep differs from the
-evidence sweep only at the ancestors of its negated-query leaves, so only
-those nodes are recomputed; every other node reuses its evidence value,
-which makes the result bitwise the full sweep's.  Each node's array is
-dropped after its last reader; of the evidence sweep only the root and the
-clean children of recomputed gates are kept.  ``mc_eval`` is the
-one-query case.
+once and makes one ``circuit.eval_queries`` call on arrays, which runs one
+evidence sweep and recomputes only each query's negated-leaf ancestors.
+``mc_eval`` is the one-query case.
 
 numpy is imported on the first call, not with the module, so that
 importing the package (and the CLI's other backends) does not load it.
@@ -32,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from . import betacalc
 from .betacalc import Moments
-from .circuit import (Circuit, CircuitNode, LabelTable, NodeKind,
+from .circuit import (Circuit, LabelTable, NodeKind, eval_queries,
                       query_literals)
 from .semirings import InconsistentEvidenceError
 
@@ -50,119 +46,6 @@ class MCResult:
     variance: float
     samples: np.ndarray
     rejections: int
-
-
-@dataclass(frozen=True)
-class _SweepPlan:
-    """Node schedule of one evidence sweep and the per-query joint sweeps.
-
-    ``order`` lists the nodes that reach the root, children first.  A
-    query's ``joint`` entry holds the nodes it recomputes (the ancestors of
-    its negated-query leaves, in order) and their release schedule.  A
-    release schedule maps a node to the children whose arrays die once it
-    has read them.
-    """
-
-    order: list[int]
-    release: dict[int, list[int]]
-    joint: dict[int, tuple[list[int], dict[int, list[int]]]]
-
-    @classmethod
-    def build(cls, c: Circuit, queries: Iterable[int]) -> "_SweepPlan":
-        nodes = c.nodes
-        # Parents that reach the root, last reader first.
-        parents: list[list[int]] = [[] for _ in nodes]
-        reach = [False] * len(nodes)
-        reach[c.root] = True
-        for n in reversed(nodes):
-            if reach[n.id]:
-                for ch in n.children:
-                    reach[ch] = True
-                    parents[ch].append(n.id)
-        order = [i for i in range(len(nodes)) if reach[i]]
-        keep = {c.root}
-        joint = {}
-        for q in queries:
-            dirty = {i for i in order
-                     if nodes[i].literal == -q and nodes[i].lam != 0}
-            stack = list(dirty)
-            while stack:
-                for p in parents[stack.pop()]:
-                    if p not in dirty:
-                        dirty.add(p)
-                        stack.append(p)
-            release: dict[int, list[int]] = {}
-            for i in dirty:
-                keep.update(ch for ch in nodes[i].children if ch not in dirty)
-                last = next((p for p in parents[i] if p in dirty), None)
-                if last is not None:
-                    release.setdefault(last, []).append(i)
-            joint[q] = (sorted(dirty), release)
-        release = {}
-        for i in order:
-            if i not in keep:
-                release.setdefault(parents[i][0], []).append(i)
-        return cls(order, release, joint)
-
-
-def _fold(n: CircuitNode, value) -> np.ndarray:
-    """AND/OR over the children's arrays, in child order."""
-    ch = n.children
-    acc = value(ch[0])
-    if len(ch) == 1:
-        return acc
-    op, iop = ((operator.mul, operator.imul) if n.kind is NodeKind.AND
-               else (operator.add, operator.iadd))
-    acc = op(acc, value(ch[1]))
-    for k in ch[2:]:
-        acc = iop(acc, value(k))
-    return acc
-
-
-def _eval_queries(c: Circuit, plan: _SweepPlan,
-                  leaf_probs: dict[int, np.ndarray],
-                  ones: np.ndarray, zeros: np.ndarray
-                  ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Evidence root and each query's joint root over a batch of samples.
-
-    ``ones`` and ``zeros`` are constant arrays of the batch size.
-    """
-    nodes = c.nodes
-    ev: list = [None] * len(nodes)
-    for i in plan.order:
-        n = nodes[i]
-        if n.kind is NodeKind.LITERAL:
-            if n.lam == 0:
-                ev[i] = zeros
-            elif n.var not in leaf_probs:
-                # Derived (unlabelled) atom: weight 1 for both polarities.
-                ev[i] = ones
-            else:
-                p = leaf_probs[n.var]
-                ev[i] = p if n.literal > 0 else 1.0 - p
-        elif n.kind is NodeKind.TRUE:
-            ev[i] = ones
-        elif n.kind is NodeKind.FALSE:
-            ev[i] = zeros
-        else:
-            ev[i] = _fold(n, ev.__getitem__)
-        for ch in plan.release.get(i, ()):
-            ev[ch] = None
-
-    joints = {}
-    for q, (ids, release) in plan.joint.items():
-        jv: dict[int, np.ndarray] = {}
-
-        def value(k: int) -> np.ndarray:
-            return jv[k] if k in jv else ev[k]
-
-        for i in ids:
-            n = nodes[i]
-            jv[i] = zeros if n.kind is NodeKind.LITERAL else _fold(n, value)
-            for ch in release.get(i, ()):
-                del jv[ch]
-        joints[q] = value(c.root)
-    return ev[c.root], joints
 
 
 def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
@@ -187,7 +70,6 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
            else np.random.default_rng(seed))
     circuit_vars = sorted({n.var for n in c.nodes
                            if n.kind is NodeKind.LITERAL and n.var in labels})
-    plan = _SweepPlan.build(c, queries)
 
     accepted: dict[int, list[np.ndarray]] = {q: [] for q in queries}
     n_acc = 0
@@ -203,8 +85,17 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
                                          size=batch)
             else:
                 leaf_probs[v] = np.full(batch, 1.0 if label.certain else 0.0)
-        ev, joints = _eval_queries(c, plan, leaf_probs, np.ones(batch),
-                                   np.zeros(batch))
+        ones = np.ones(batch)
+
+        def leaf(lit: int) -> np.ndarray:
+            if abs(lit) not in leaf_probs:
+                # Derived (unlabelled) atom: weight 1 for both polarities.
+                return ones
+            p = leaf_probs[abs(lit)]
+            return p if lit > 0 else 1.0 - p
+
+        ev, joints = eval_queries(c, queries, np.zeros(batch), ones,
+                                  operator.add, operator.mul, leaf)
         ok = ev > 0.0
         n_ok = int(ok.sum())
         rejections += batch - n_ok

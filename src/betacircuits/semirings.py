@@ -1,6 +1,7 @@
 """Baseline semiring parametrisations for conditioned circuit evaluation.
 
-Three pluggable value domains instantiate the generic circuit sweep:
+Three pluggable value domains instantiate the generic circuit sweep
+``circuit.eval_queries``:
 
 * ``prob_semiring`` -- point probabilities with (+, *, /); the reference
   first-order-only backend;
@@ -12,10 +13,9 @@ Three pluggable value domains instantiate the generic circuit sweep:
   independence assumption, with a single beta moment-matching step applied
   to the final conditioned value (not per node).
 
-Conditioning evaluates the circuit twice: once with the negated-query
-leaves forced to the additive identity (yielding the joint of query and
-evidence) and once as-is (yielding the evidence), then divides.  Queries
-on one evidence circuit share the evidence pass.
+Conditioning divides a query's joint with the evidence by the evidence.
+One sweep gives the evidence; each query's joint recomputes only the
+ancestors of its negated-query leaves, forced to the additive identity.
 
 Neither the opinion calculus nor moment propagation forms a true semiring:
 their uncertainty components are order-dependent, so the fold order over
@@ -25,12 +25,12 @@ children is fixed to file order for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments, Opinion
-from .circuit import Circuit, LabelTable, eval_circuit, query_literals
+from .circuit import Circuit, LabelTable, eval_queries, query_literals
 
 
 class InconsistentEvidenceError(ValueError):
@@ -187,36 +187,23 @@ def mm_semiring() -> SemiringSpec:
 # Conditioned evaluation
 # ---------------------------------------------------------------------
 
-def evaluate(c: Circuit, spec: SemiringSpec, labels: LabelTable,
-             zero_literals: frozenset[int] = frozenset()):
-    """One lambda-aware sweep in the given semiring."""
-    return eval_circuit(
-        c, spec.zero, spec.one, spec.plus, spec.times,
-        leaf_value=lambda lit: spec.from_label(labels.label_of(lit)),
-        zero_literals=zero_literals)
-
-
 def conditioned_eval_queries(c: Circuit, spec: SemiringSpec,
                              labels: LabelTable, queries: Iterable[int]
                              ) -> dict[int, object]:
     """Conditional value of each query given the evidence carried by ``c``.
 
     ``c``'s staged query, if any, is ignored; ``queries`` are query
-    literals.  One evidence pass serves every query, and each query adds
-    its joint pass (its negated leaves forced to the additive identity) and
-    one division; all passes share one conversion of each literal's label.
-    Raises InconsistentEvidenceError when the evidence evaluates to the
-    additive identity.
+    literals.  One ``eval_queries`` call gives the evidence and every
+    query's joint, converting each literal's label once, and each query
+    adds one division.  Raises InconsistentEvidenceError when the evidence
+    evaluates to the additive identity.
     """
-    queries = query_literals(c, queries)
-    sweep = partial(eval_circuit, c, spec.zero, spec.one, spec.plus,
-                    spec.times, cache(lambda lit: spec.from_label(
-                        labels.label_of(lit))))
-    ev = sweep()
+    ev, joints = eval_queries(
+        c, query_literals(c, queries), spec.zero, spec.one, spec.plus,
+        spec.times, cache(lambda lit: spec.from_label(labels.label_of(lit))))
     if spec.is_zero(ev):
         raise InconsistentEvidenceError("inconsistent evidence")
-    return {q: spec.divide(sweep(zero_literals=frozenset((-q,))), ev)
-            for q in queries}
+    return {q: spec.divide(joint, ev) for q, joint in joints.items()}
 
 
 def conditioned_eval(c: Circuit, spec: SemiringSpec, labels: LabelTable):

@@ -1,24 +1,49 @@
 """Tests for circuit parsing, validation, conditioning, and evaluation."""
 
 import itertools
+import operator
 import random
 import time
 
+import numpy as np
 import pytest
+from test_cpb import random_theory
+from test_semirings import sweep
 
 from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (
-    CircuitError, LabelTable, NodeKind, eval_circuit, format_label_table,
+    CircuitError, LabelTable, NodeKind, eval_queries, format_label_table,
     format_nnf, parse_condition_file, parse_label_table, parse_nnf,
     set_condition, truth_value, validate)
 from betacircuits.compile import Theory, f_iff, f_not, f_var, shannon_compile
 from betacircuits.examples import BURGLARY_NNF, burglary_circuit, burglary_labels
+from betacircuits.semirings import mm_semiring, prob_semiring, sl_semiring
 
 
-def prob_eval(c, labels, zero_literals=frozenset()):
-    return eval_circuit(c, 0.0, 1.0, lambda a, b: a + b, lambda a, b: a * b,
-                        leaf_value=lambda lit: labels.mean_of(lit),
-                        zero_literals=zero_literals)
+def full_sweep(c, zero, one, plus, times, leaf_value, zero_literal=0):
+    """Every node in file order, the leaves of ``zero_literal`` forced to
+    ``zero``: the reference for ``eval_queries``."""
+    values = []
+    for n in c.nodes:
+        if n.kind is NodeKind.LITERAL:
+            dead = n.lam == 0 or n.literal == zero_literal
+            values.append(zero if dead else leaf_value(n.literal))
+        elif n.kind is NodeKind.TRUE:
+            values.append(one)
+        elif n.kind is NodeKind.FALSE:
+            values.append(zero)
+        else:
+            op = times if n.kind is NodeKind.AND else plus
+            acc = values[n.children[0]]
+            for ch in n.children[1:]:
+                acc = op(acc, values[ch])
+            values.append(acc)
+    return values[c.root]
+
+
+def exact(value):
+    """A repr that tells every float bit apart, arrays included."""
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
 
 
 def random_nnf(rng):
@@ -188,32 +213,94 @@ class TestValidation:
 class TestEvaluation:
     def test_burglary_evidence_probability(self):
         # P(calls) = (0.1 + 0.9*0.2) * 0.7 = 0.196
-        got = prob_eval(burglary_circuit(), burglary_labels())
+        got, _ = sweep(burglary_circuit(), prob_semiring(), burglary_labels())
         assert got == pytest.approx(0.196, abs=1e-12)
 
     def test_burglary_joint_probability(self):
         # Forcing the not-burglary leaves to zero leaves P(b, calls) = 0.07.
-        got = prob_eval(burglary_circuit(), burglary_labels(),
-                        zero_literals=frozenset((-1,)))
-        assert got == pytest.approx(0.07, abs=1e-12)
+        _, joints = sweep(burglary_circuit(), prob_semiring(),
+                          burglary_labels(), (1,))
+        assert joints[1] == pytest.approx(0.07, abs=1e-12)
 
     def test_absent_variables_count_one(self):
         # A variable without a label is a derived atom: both polarities
         # weigh 1, so (v OR not v) counts 2 with empty labels.
         c = parse_nnf("nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1\n")
-        assert prob_eval(c, LabelTable()) == pytest.approx(2.0)
+        assert sweep(c, prob_semiring(), LabelTable())[0] == pytest.approx(2.0)
 
     def test_each_node_evaluated_once(self):
         # Seven nodes: four leaves read once each, and two binary ANDs and
-        # one binary OR folded once each.
+        # one binary OR folded once each.  The joint of query -3 zeroes
+        # leaf 3 and re-folds only its one ancestor, the root AND.
         calls = []
         labels = burglary_labels()
-        eval_circuit(burglary_circuit(), 0.0, 1.0,
+        eval_queries(burglary_circuit(), (-3,), 0.0, 1.0,
                      lambda a, b: calls.append("+") or a + b,
                      lambda a, b: calls.append("*") or a * b,
                      leaf_value=lambda lit: calls.append(lit) or
                      labels.mean_of(lit))
-        assert sorted(calls, key=str) == ["*", "*", "+", -1, 1, 2, 3]
+        assert sorted(calls, key=str) == ["*", "*", "*", "+", -1, 1, 2, 3]
+
+    def test_nodes_off_the_root_are_not_evaluated(self):
+        # Leaf 2 and the AND above it feed nothing that reaches the root.
+        c = parse_nnf("nnf 4 3 2\nL 1\nL 2\nA 1 1\nA 1 0\n")
+        calls = []
+        ev, joints = eval_queries(c, (2,), 0.0, 1.0, operator.add,
+                                  operator.mul,
+                                  lambda lit: calls.append(lit) or 0.5)
+        assert calls == [1] and ev == joints[2] == 0.5
+
+    @pytest.mark.parametrize("domain", ["mc", "prob", "sl", "mm"])
+    def test_ancestor_sweep_matches_full_sweep(self, domain):
+        # Each root is the full sweep's, bit for bit: float arrays as the
+        # Monte Carlo batches use them, and the three semirings.  Compiled
+        # theories are d-DNNF with binary gates; the random DAGs add gates
+        # of up to four children, whose fold order shows in sl and mm,
+        # repeated children and nodes that do not reach the root.
+        rng = random.Random(10)
+        nrng = np.random.default_rng(10)
+        checked = 0
+        for k in range(40):
+            c = (parse_nnf(random_nnf(rng)) if k % 2 else
+                 shannon_compile(random_theory(rng, rng.randint(4, 8))))
+            variables = sorted({n.var for n in c.nodes
+                                if n.kind is NodeKind.LITERAL})
+            if not variables:
+                continue
+            n_evidence = rng.randint(0, min(2, len(variables)))
+            evidence = [(v, rng.random() < 0.5)
+                        for v in rng.sample(variables, n_evidence)]
+            c = set_condition(c, None, evidence)
+            # Leave one variable unlabelled: a derived atom of weight 1.
+            if domain == "mc":
+                probs = {v: nrng.beta(2.0, 3.0, size=64)
+                         for v in variables[1:]}
+                ones = np.ones(64)
+                ops = (np.zeros(64), ones, operator.add, operator.mul,
+                       lambda lit: ones if abs(lit) not in probs
+                       else probs[lit] if lit > 0 else 1.0 - probs[-lit])
+            else:
+                spec = {"prob": prob_semiring, "sl": sl_semiring,
+                        "mm": mm_semiring}[domain]()
+                labels = LabelTable({v: BetaLabel(rng.uniform(0.5, 10),
+                                                  rng.uniform(0.5, 10))
+                                     for v in variables[1:]})
+                ops = (spec.zero, spec.one, spec.plus, spec.times,
+                       lambda lit: spec.from_label(labels.label_of(lit)))
+            queries = [v * rng.choice((1, -1)) for v in variables]
+            try:
+                # No literal is 0: want[0] is the evidence sweep.
+                want = [full_sweep(c, *ops, -q) for q in [0] + queries]
+            except ZeroDivisionError:
+                # sl's product divides by 1 - a_x a_y, which the base rates
+                # of a random DAG's non-exclusive ORs can drive to 0.
+                continue
+            ev, joints = eval_queries(c, queries, *ops)
+            assert exact(ev) == exact(want[0])
+            for q, joint in zip(queries, want[1:]):
+                assert exact(joints[q]) == exact(joint)
+            checked += 1
+        assert checked >= 30
 
     def test_matches_enumeration(self):
         rng = random.Random(11)
@@ -222,7 +309,7 @@ class TestEvaluation:
             labels = LabelTable({v: BetaLabel(rng.uniform(0.5, 10),
                                               rng.uniform(0.5, 10))
                                  for v in (1, 2, 3)})
-            assert prob_eval(c, labels) == pytest.approx(
+            assert sweep(c, prob_semiring(), labels)[0] == pytest.approx(
                 enumeration_wmc(c, labels), abs=1e-12)
 
     def test_truth_value(self):

@@ -115,6 +115,30 @@ class TestInfer:
         assert rc == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("backend", ["prob", "sl", "mm", "cpb", "mc"])
+    def test_non_finite_inputs_exit_2(self, burglary_files, tmp_path, capsys,
+                                      backend):
+        # NaN passes an "alpha <= 0" test and "1e400" reads as inf; only
+        # the token "inf" itself marks a certain label.
+        circuit, labels = burglary_files
+        rest = labels.read_text().splitlines()[1:]
+        infer = ("infer", "--circuit", circuit, "--labels", labels,
+                 "--query", "1", "--backend", backend)
+        for line in ("1 nan 18", "1 1e400 18", "1 2 18 0.5 nan", "1 inf 18"):
+            labels.write_text("\n".join([line] + rest) + "\n")
+            rc, out, err = run(capsys, *infer)
+            if line == "1 inf 18":
+                assert rc == 0 and float(out.split()[0]) == pytest.approx(1.0)
+            else:
+                assert (rc, out) == (2, "")
+                assert err.startswith("error: label table line 1:")
+        if backend == "cpb":
+            cov = tmp_path / "leaf.cov"
+            cov.write_text("# cross entries\n1 2 inf\n")
+            rc, out, err = run(capsys, *infer, "--cov", cov)
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: leaf covariance line 2:")
+
     def test_arithmetic_error_is_a_numerical_failure(self, burglary_files,
                                                       monkeypatch, capsys):
         def underflow(*args, **kwargs):

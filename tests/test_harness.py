@@ -162,6 +162,28 @@ class TestRun:
         assert m.trials + m.failures == 30 * 3
 
 
+#: sha256 of the rmse, calibration and correlation CSVs, mc rows included,
+#: of one small cell per builtin beyond burglary.
+PINNED_CELLS = {
+    "net1": (
+        "0b5ad20e5f3917b05ebc588640633c2de8b1e41834832a19d98fccb1337f56d8",
+        "d5ed639bfe291d214be20e0cb8667a502ff6aaec094cd753a2bcb4c99f554394",
+        "932660a34743eedd63bc323d0cf53a2475b6458e63ad233312c8c1342195edc5"),
+    "net2": (
+        "f04c570454f423e8b4ec855a1f911a766a5daafa29f0a98cae6661fd7579660f",
+        "6ea4abf8c4b9c61cb627d7122c6eea1c134f557c1fe133f2829647196454c258",
+        "b927ac9395f5ccfe777d4679280a1bef1331df7cfd7e740dc7bbb6ef6bf7e647"),
+    "net3": (
+        "196f9bf566a44a8344d2522cafa84d7d1d641fbd1ac3fe16b89c12f331309388",
+        "0d87ed1d06bd170edf43d76c26034b54e9d77f0e7c15ddc45bdea3c9fb9422cd",
+        "c82f571085a74263b4267fb953f95d2bfa9e116f2879348a62dbec7ad4565be2"),
+    "smokers": (
+        "ce21843240c44d612f69abaad63492445fbe7916397bbfc3025357e2809824b6",
+        "c34ed27c87c9723862f80b74894290bc9df7c0fef29be16982b98c15747b6226",
+        "1d0d58937d0b359197cc08b756e19e7aac125fd2a3b13c10f81ae93e8c48fba8"),
+}
+
+
 def metric_csvs(cfg, outdir):
     run_experiment(cfg).write_csvs(outdir)
     return {name: (outdir / name).read_bytes() for name in METRIC_CSVS}
@@ -252,6 +274,16 @@ class TestWorkers:
             "9adaa26905e3aa15599fa07d3abbe9771e795c7ed7aeb2f8c5ce7256242f06fa")
         assert hashlib.sha256(mc).hexdigest() == (
             "16b376adc73fed106c9550b3364a11968caa19d3b22a42648c3136cecf9249df")
+
+    @pytest.mark.parametrize("model", sorted(PINNED_CELLS))
+    def test_builtin_cell_output_is_pinned(self, model, tmp_path):
+        # smokers re-sweeps the most nodes per query.
+        cfg = small_config(model=model, truth_draws=10, repetitions=3,
+                           backends=("cpb", "mm", "sl", "mc:200"),
+                           golden_samples=200)
+        out = metric_csvs(cfg, tmp_path)
+        assert tuple(hashlib.sha256(out[name]).hexdigest()
+                     for name in METRIC_CSVS) == PINNED_CELLS[model]
 
     def test_failed_trials_keep_their_golden_strengths(self, tmp_path,
                                                         monkeypatch):

@@ -1,22 +1,18 @@
 """Tests for the Monte Carlo sampling baseline."""
 
 import math
-import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from test_cpb import random_theory
 
 from betacircuits.betacalc import BetaLabel
-from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
-                                  parse_nnf, set_condition)
-from betacircuits.compile import shannon_compile
+from betacircuits.circuit import (CircuitError, LabelTable, parse_nnf,
+                                  set_condition)
 from betacircuits.examples import (burglary_circuit, burglary_labels,
                                    net1_model, point_labels, smokers_model)
 from betacircuits.learn import fit_complete, sample_observations
-from betacircuits.mc import (_eval_queries, _SweepPlan, mc_eval,
-                             mc_eval_queries, mc_strength)
+from betacircuits.mc import mc_eval, mc_eval_queries, mc_strength
 from betacircuits.semirings import InconsistentEvidenceError
 
 
@@ -63,7 +59,7 @@ class TestMCEval:
         # every sample's evidence probability is zero.
         c = parse_nnf("nnf 1 0 1\nL 1\n")
         dead = set_condition(c, query=1, evidence=[(1, False)])
-        labels = LabelTable({1: BetaLabel(math.inf, math.inf)})
+        labels = LabelTable({1: BetaLabel(2.0, 3.0)})
         with pytest.raises(InconsistentEvidenceError, match="rejected"):
             mc_eval(dead, labels, 50, seed=0)
 
@@ -93,33 +89,6 @@ def fitted_labels(model, rng, n_ins=30):
     return fit_complete(data, variables)[0]
 
 
-def full_sweep(c, leaf_probs, size, zero_literals=frozenset()):
-    """Every node, evaluated as a plain probability-semiring sweep."""
-    values = [None] * len(c.nodes)
-    for n in c.nodes:
-        if n.kind is NodeKind.LITERAL:
-            if n.lam == 0 or n.literal in zero_literals:
-                values[n.id] = np.zeros(size)
-            elif n.var not in leaf_probs:
-                values[n.id] = np.ones(size)
-            else:
-                p = leaf_probs[n.var]
-                values[n.id] = p if n.literal > 0 else 1.0 - p
-        elif n.kind is NodeKind.TRUE:
-            values[n.id] = np.ones(size)
-        elif n.kind is NodeKind.FALSE:
-            values[n.id] = np.zeros(size)
-        else:
-            acc = values[n.children[0]]
-            for ch in n.children[1:]:
-                if n.kind is NodeKind.AND:
-                    acc = acc * values[ch]
-                else:
-                    acc = acc + values[ch]
-            values[n.id] = acc
-    return values[c.root]
-
-
 class TestSharedDraw:
     """``mc_eval_queries``: one draw and one evidence sweep for all queries."""
 
@@ -140,32 +109,6 @@ class TestSharedDraw:
                 want = mc_eval(staged, labels, 2000, seed=seed)
                 assert got[q].samples.tobytes() == want.samples.tobytes()
                 assert got[q].rejections == want.rejections
-
-    def test_ancestor_sweep_matches_full_sweep(self):
-        rng = random.Random(10)
-        nrng = np.random.default_rng(10)
-        checked = 0
-        for _ in range(20):
-            theory = random_theory(rng, rng.randint(4, 8))
-            c = shannon_compile(theory)
-            variables = sorted(c.variables())
-            if not variables:
-                continue
-            evidence = [(v, rng.random() < 0.5)
-                        for v in rng.sample(variables, rng.randint(0, 2))]
-            c = set_condition(c, None, evidence)
-            # Leave one variable undrawn: a derived atom of weight 1.
-            probs = {v: nrng.beta(2.0, 3.0, size=64)
-                     for v in variables[1:]}
-            queries = [v * rng.choice((1, -1)) for v in variables]
-            ev, joints = _eval_queries(c, _SweepPlan.build(c, queries),
-                                       probs, np.ones(64), np.zeros(64))
-            assert ev.tobytes() == full_sweep(c, probs, 64).tobytes()
-            for q in queries:
-                want = full_sweep(c, probs, 64, frozenset((-q,)))
-                assert joints[q].tobytes() == want.tobytes()
-            checked += 1
-        assert checked >= 15
 
     def test_smokers_golden_call_memory(self):
         # Every array is dropped after its last reader.  Two full sweeps

@@ -5,15 +5,23 @@ import random
 import pytest
 
 from betacircuits.betacalc import BetaLabel, Moments, Opinion
-from betacircuits.circuit import LabelTable, parse_nnf, set_condition
+from betacircuits.circuit import (LabelTable, eval_queries, parse_nnf,
+                                  set_condition)
 from betacircuits.semirings import (
     InconsistentEvidenceError, MM_ONE, MM_ZERO, SL_ONE, SL_ZERO,
-    VACUOUS_OPINION, conditioned_eval, evaluate, mm_semiring, prob_semiring,
+    VACUOUS_OPINION, conditioned_eval, mm_semiring, prob_semiring,
     sl_semiring)
 from betacircuits.examples import burglary_circuit, burglary_labels
 
 
 STAGED = set_condition(burglary_circuit(), query=1)
+
+
+def sweep(c, spec, labels, queries=()):
+    """``eval_queries`` in ``spec``: (evidence, {query: joint})."""
+    return eval_queries(c, queries, spec.zero, spec.one, spec.plus,
+                        spec.times,
+                        lambda lit: spec.from_label(labels.label_of(lit)))
 
 
 class TestIdentities:
@@ -106,8 +114,8 @@ class TestConditionedEval:
         collapsed = parse_nnf("nnf 1 0 2\nL 1\n")
         labels = LabelTable({1: BetaLabel(3, 5), 2: BetaLabel(2, 7)})
         s = sl_semiring()
-        a = evaluate(expanded, s, labels)
-        b = evaluate(collapsed, s, labels)
+        a, _ = sweep(expanded, s, labels)
+        b, _ = sweep(collapsed, s, labels)
         assert a.projected == pytest.approx(b.projected, abs=1e-9)
         assert abs(a.uncertainty - b.uncertainty) > 1e-3
 
