@@ -1,14 +1,17 @@
 """Tests for the Monte Carlo sampling baseline."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from test_cpb import random_theory
 
 from betacircuits.betacalc import BetaLabel
-from betacircuits.circuit import (CircuitError, LabelTable, parse_nnf,
-                                  set_condition)
+from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
+                                  parse_nnf, set_condition)
+from betacircuits.compile import shannon_compile
 from betacircuits.examples import (burglary_circuit, burglary_labels,
                                    net1_model, point_labels, smokers_model)
 from betacircuits.learn import fit_complete, sample_observations
@@ -89,6 +92,33 @@ def fitted_labels(model, rng, n_ins=30):
     return fit_complete(data, variables)[0]
 
 
+def full_sweep(c, leaf_probs, size, zero_literal=0):
+    """Every node, evaluated as a plain probability-semiring sweep."""
+    values = [None] * len(c.nodes)
+    for n in c.nodes:
+        if n.kind is NodeKind.LITERAL:
+            if n.lam == 0 or n.literal == zero_literal:
+                values[n.id] = np.zeros(size)
+            elif n.var not in leaf_probs:
+                values[n.id] = np.ones(size)
+            else:
+                p = leaf_probs[n.var]
+                values[n.id] = p if n.literal > 0 else 1.0 - p
+        elif n.kind is NodeKind.TRUE:
+            values[n.id] = np.ones(size)
+        elif n.kind is NodeKind.FALSE:
+            values[n.id] = np.zeros(size)
+        else:
+            acc = values[n.children[0]]
+            for ch in n.children[1:]:
+                if n.kind is NodeKind.AND:
+                    acc = acc * values[ch]
+                else:
+                    acc = acc + values[ch]
+            values[n.id] = acc
+    return values[c.root]
+
+
 class TestSharedDraw:
     """``mc_eval_queries``: one draw and one evidence sweep for all queries."""
 
@@ -109,6 +139,39 @@ class TestSharedDraw:
                 want = mc_eval(staged, labels, 2000, seed=seed)
                 assert got[q].samples.tobytes() == want.samples.tobytes()
                 assert got[q].rejections == want.rejections
+
+    def test_ancestor_sweep_matches_full_sweep(self):
+        # Each query's samples are its full-sweep joint over the full-sweep
+        # evidence probability, bit for bit, on the draws mc_eval_queries
+        # makes: one beta per labelled variable, in variable order.
+        rng = random.Random(10)
+        checked = 0
+        for seed in range(20):
+            theory = random_theory(rng, rng.randint(4, 8))
+            c = shannon_compile(theory)
+            variables = sorted({n.var for n in c.nodes
+                                if n.kind is NodeKind.LITERAL})
+            if not variables:
+                continue
+            evidence = [(v, rng.random() < 0.5)
+                        for v in rng.sample(variables, rng.randint(0, 2))]
+            c = set_condition(c, None, evidence)
+            # Leave one variable unlabelled: a derived atom of weight 1.
+            labels = LabelTable({v: BetaLabel(2.0, 3.0)
+                                 for v in variables[1:]})
+            nrng = np.random.default_rng(seed)
+            probs = {v: nrng.beta(2.0, 3.0, size=64) for v in variables[1:]}
+            ev = full_sweep(c, probs, 64)
+            if not (ev > 0.0).all():
+                continue
+            queries = [v * rng.choice((1, -1)) for v in variables]
+            got = mc_eval_queries(c, queries, labels, 64, seed=seed)
+            for q in queries:
+                want = full_sweep(c, probs, 64, -q) / ev
+                assert got[q].samples.tobytes() == want.tobytes()
+                assert got[q].rejections == 0
+            checked += 1
+        assert checked >= 15
 
     def test_smokers_golden_call_memory(self):
         # Every array is dropped after its last reader.  Two full sweeps
