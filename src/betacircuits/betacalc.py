@@ -357,6 +357,13 @@ def mm_product(x: Moments, y: Moments) -> Moments:
     return Moments(x.mean * y.mean, v)
 
 
+def _square(m: float, name: str) -> float:
+    sq = m * m
+    if sq == 0.0:
+        raise ArithmeticError(f"division: {name}={m!r} squared underflows to 0")
+    return sq
+
+
 def mm_division(x: Moments, y: Moments) -> Moments:
     """Moments of the conditioning division of X by Y.
 
@@ -369,7 +376,8 @@ def mm_division(x: Moments, y: Moments) -> Moments:
                  + (var[Y] + var[X])/(E[Y] - E[X])^2
                  + 2 var[X]/(E[X] (E[Y] - E[X])) ).
 
-    Raises ValueError when E[Y] <= E[X] (non-conditionable pair).
+    Raises ValueError when E[Y] <= E[X] (non-conditionable pair), and
+    ArithmeticError when a squared mean or gap underflows to 0.
     """
     if y.mean <= x.mean:
         raise ValueError(
@@ -381,9 +389,9 @@ def mm_division(x: Moments, y: Moments) -> Moments:
     gap = y.mean - x.mean
     if x.mean == 0.0:
         # Limit of the expression below as E[X] -> 0.
-        return Moments(0.0, x.variance / (y.mean * y.mean))
-    bracket = (x.variance / (x.mean * x.mean)
-               + (y.variance + x.variance) / (gap * gap)
+        return Moments(0.0, x.variance / _square(y.mean, "E[Y]"))
+    bracket = (x.variance / _square(x.mean, "E[X]")
+               + (y.variance + x.variance) / _square(gap, "E[Y] - E[X]")
                + 2.0 * x.variance / (x.mean * gap))
     v = mz * mz * (1.0 - mz) * (1.0 - mz) * bracket
     return Moments(mz, v)

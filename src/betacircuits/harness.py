@@ -20,32 +20,34 @@ conditionals:
 
 A run has three stages.
 
-1. *Label stream*, in the calling process.  ``default_rng(seed)`` draws
-   every label set up front: the truths, the evidence, the evidence
-   circuits, the true conditionals and the fitted labels.
-2. *Shards*.  ``SeedSequence(seed).spawn(2)`` gives a golden and an
-   ``mc`` seed, and each spawns one child per label set.  Set i's golden
-   draw (one ``mc_eval_queries`` call scores every query of the set on one
-   shared draw of the leaves) uses the golden seed's child i.  Its
-   ``mc:<k>`` backends share a generator from the ``mc`` seed's child i,
-   taking turns in the order of ``backends``.  cpb, mm and sl draw
+1. *Draws*, in the calling process, which only draws.  Per truth draw,
+   ``default_rng(seed)`` draws the truths, the evidence bits and one fitted
+   label table per repetition (a *label set*), in this order.
+   ``SeedSequence(seed).spawn(2)`` gives a golden and an ``mc`` seed, and
+   each spawns one child per label set.
+2. *Tasks*, one per truth draw.  A task compiles and conditions the draw's
+   evidence circuit (the model caches compilations per process and
+   evidence key) and takes the true conditionals from one ``prob`` call.
+   Per label set, the golden draw (one ``mc_eval_queries`` call scores
+   every query on one shared draw of the leaves) uses the set's golden
+   child, and the ``mc:<k>`` backends take turns, in the order of
+   ``backends``, on a generator from its ``mc`` child.  cpb, mm and sl draw
    nothing, so their records do not depend on any Monte Carlo setting.
-   Each backend
-   answers all of a set's queries in one call on the evidence circuit;
-   inconsistent evidence fails every query of the set, and any other error
-   only the query it belongs to.  A shard runs the golden run and every
-   backend over a contiguous range of label sets.  Where the platform can
-   fork and more than one CPU is usable, there is one shard per usable CPU,
-   each in a forked worker, and none runs in the calling process; else one
-   shard runs in-process.  The pool lives only for the call.  A shard's
-   exception reaches the caller with its type.
-3. *Merge*, in the calling process.  The shards' records are joined in
-   label-set order, and ``_aggregate`` scores them.
+   Each backend answers all of a set's queries in one call; inconsistent
+   evidence fails every query of the set, and any other error only the
+   query it belongs to.  Where the platform can fork and more than one CPU
+   is usable, the tasks are queued to one forked worker per usable CPU (at
+   most one per draw), which take the next task as they free up; else they
+   run in a loop in-process.  The pool lives only for the call.  The first
+   failing task's exception reaches the caller with its type, and the
+   queued tasks are cancelled.
+3. *Merge*, in the calling process.  The tasks' records are joined in
+   truth-draw order, and ``_aggregate`` scores them.
 
 Everything except the wall-clock numbers is deterministic for a fixed
 seed.  As every label set's draws come from its own streams, the metric
 CSVs (rmse / calibration / correlation) are byte-identical across runs and
-whatever the number of shards, forked or in-process.
+whatever the number of workers, forked or in-process.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import json
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -67,7 +69,8 @@ from scipy.special import betainc
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments
-from .circuit import Circuit, LabelTable, parse_nnf, set_condition
+from .circuit import (Circuit, CircuitError, LabelTable, parse_nnf,
+                      set_condition, validate)
 from .cpb import eval_cov_queries
 from .examples import BUILTIN_MODELS, ExampleModel, point_labels
 from .learn import fit_complete, sample_observations
@@ -76,6 +79,9 @@ from .semirings import (InconsistentEvidenceError, conditioned_eval_queries,
                         mm_semiring, prob_semiring, sl_semiring)
 
 DEFAULT_GAMMAS = tuple(round(0.05 * k, 2) for k in range(1, 20))
+#: The timing CSV's columns and the quantile of per-query seconds in each.
+_QUANTILES = {"min": 0.0, "p25": 0.25, "p50": 0.5, "p75": 0.75, "p95": 0.95,
+              "max": 1.0}
 
 # Names that nothing here calls, served only because
 # bench/workloads.py::Calibrate.round_targets wraps them by these names in
@@ -258,11 +264,10 @@ class MetricsReport:
 
         with open(outdir / "timing.csv", "w", newline="") as f:
             w = csv.writer(f)
-            quants = ["min", "p25", "p50", "p75", "p95", "max"]
-            w.writerow(["backend"] + quants)
+            w.writerow(["backend"] + list(_QUANTILES))
             for n in names:
                 tq = self.backends[n].timing_quantiles
-                w.writerow([n] + [_fmt(tq[q]) for q in quants])
+                w.writerow([n] + [_fmt(tq[q]) for q in _QUANTILES])
 
 
 def _fmt(x: float) -> str:
@@ -315,8 +320,11 @@ def _resolve_model(cfg: ExperimentConfig) -> ExampleModel:
     if cfg.model is not None:
         return BUILTIN_MODELS[cfg.model](**cfg.model_options)
     path = Path(cfg.circuit_file)
-    return ExampleModel.from_circuit(path.stem, parse_nnf(path.read_text()),
-                                     cfg.query_vars)
+    circuit = parse_nnf(path.read_text())
+    violations = validate(circuit).violations
+    if violations:
+        raise CircuitError(f"{path}: " + "; ".join(violations))
+    return ExampleModel.from_circuit(path.stem, circuit, cfg.query_vars)
 
 
 def _draw_truth(model: ExampleModel, rng: np.random.Generator
@@ -331,78 +339,79 @@ def _draw_truth(model: ExampleModel, rng: np.random.Generator
 
 
 @dataclass
-class _LabelSet:
-    """One repetition's inputs: evidence circuit, true conditionals, labels,
-    and the seeds of its golden draw and its ``mc:<k>`` stream."""
+class _TruthDraw:
+    """Truths, evidence, and each label set with its golden and mc seeds."""
 
-    evidence_circuit: Circuit
-    true_cond: dict[int, float]
-    labels: LabelTable
-    golden_seed: np.random.SeedSequence
-    mc_seed: np.random.SeedSequence
+    truth: dict[int, float]
+    evidence: dict[int, bool]
+    label_sets: list[tuple[LabelTable, np.random.SeedSequence,
+                           np.random.SeedSequence]]
 
 
 @dataclass
 class _Job:
-    """What every shard reads; forked workers inherit it without pickling."""
+    """What every task reads; forked workers inherit it without pickling."""
 
-    queries: tuple[int, ...]
+    model: ExampleModel
     backends: tuple[str, ...]
     golden_samples: int
-    sets: list[_LabelSet]
+    draws: list[_TruthDraw]
 
 
-def _label_sets(cfg: ExperimentConfig, model: ExampleModel) -> list[_LabelSet]:
-    """Every label set of the run, drawn from the label stream in order."""
+def _truth_draws(cfg: ExperimentConfig, model: ExampleModel
+                 ) -> list[_TruthDraw]:
+    """Every truth draw of the run, drawn from the label stream in order."""
     rng = np.random.default_rng(cfg.seed)
     n_truths, n_reps = cfg.trial_shape
     golden_seeds, mc_seeds = (
         child.spawn(n_truths * n_reps)
         for child in np.random.SeedSequence(cfg.seed).spawn(2))
-    sets = []
-    for _ in range(n_truths):
+    draws = []
+    for t in range(n_truths):
         truth = _draw_truth(model, rng)
         ev = {v: bool(rng.integers(2)) for v in model.random_evidence_vars}
-        evidence_circuit = set_condition(model.circuit(ev), query=None,
-                                         evidence=model.prob_evidence)
-        true_cond = conditioned_eval_queries(
-            evidence_circuit, prob_semiring(), point_labels(truth),
-            model.query_vars)
-        for _ in range(n_reps):
+        label_sets = []
+        for i in range(t * n_reps, (t + 1) * n_reps):
             data, variables = sample_observations(truth, cfg.n_ins, rng)
             labels, _ = fit_complete(data, variables,
                                      tied_groups=model.tied_groups)
-            i = len(sets)
-            sets.append(_LabelSet(evidence_circuit, true_cond, labels,
-                                  golden_seeds[i], mc_seeds[i]))
-    return sets
+            label_sets.append((labels, golden_seeds[i], mc_seeds[i]))
+        draws.append(_TruthDraw(truth, ev, label_sets))
+    return draws
 
 
-def _shard(job: _Job, lo: int, hi: int
-           ) -> tuple[dict[str, list[TrialRecord]], dict[str, int]]:
-    """Every backend's records and failure counts on label sets lo..hi-1.
+def _task(job: _Job, t: int
+          ) -> tuple[dict[str, list[TrialRecord]], dict[str, int]]:
+    """Every backend's records and failure counts on truth draw t.
 
-    Per label set: the golden run, then one call per backend in the order
-    of ``backends``, the ``mc:<k>`` ones taking turns on the set's stream.
+    The draw's evidence circuit and true conditionals first; then per label
+    set the golden run and one call per backend in the order of
+    ``backends``, the ``mc:<k>`` ones taking turns on the set's stream.
     """
+    model, draw = job.model, job.draws[t]
+    queries = model.query_vars
+    c = set_condition(model.circuit(draw.evidence), query=None,
+                      evidence=model.prob_evidence)
+    true_cond = conditioned_eval_queries(c, prob_semiring(),
+                                         point_labels(draw.truth), queries)
     records: dict[str, list[TrialRecord]] = {b: [] for b in job.backends}
     failures = dict.fromkeys(job.backends, 0)
-    for s in job.sets[lo:hi]:
+    for labels, golden_seed, mc_seed in draw.label_sets:
         golden = {}
         if job.golden_samples > 0:
-            runs = mc_eval_queries(s.evidence_circuit, job.queries, s.labels,
-                                   job.golden_samples,
-                                   seed=np.random.default_rng(s.golden_seed))
+            runs = mc_eval_queries(c, queries, labels, job.golden_samples,
+                                   seed=np.random.default_rng(golden_seed))
             golden = {q: mc_strength(r.samples) for q, r in runs.items()}
-        mc_rng = np.random.default_rng(s.mc_seed)
+        mc_rng = np.random.default_rng(mc_seed)
         for b in job.backends:
-            failures[b] += _answer(b, s, job.queries, mc_rng, golden,
-                                   records[b])
+            failures[b] += _answer(b, c, queries, labels, mc_rng, true_cond,
+                                   golden, records[b])
     return records, failures
 
 
-def _answer(name: str, s: _LabelSet, queries: tuple[int, ...],
-            rng: np.random.Generator, golden: dict[int, float],
+def _answer(name: str, c: Circuit, queries: tuple[int, ...],
+            labels: LabelTable, rng: np.random.Generator,
+            true_cond: dict[int, float], golden: dict[int, float],
             out: list[TrialRecord]) -> int:
     """Append one call's records to ``out``; return its failed queries.
 
@@ -412,24 +421,23 @@ def _answer(name: str, s: _LabelSet, queries: tuple[int, ...],
     """
     t0 = time.perf_counter()
     try:
-        answers = _run_backend(name, s.evidence_circuit, queries, s.labels,
-                               rng)
+        answers = _run_backend(name, c, queries, labels, rng)
     except InconsistentEvidenceError:
         return len(queries)
     except (ValueError, ArithmeticError):
         if len(queries) == 1:
             return 1
-        return sum(_answer(name, s, (q,), rng, golden, out)
+        return sum(_answer(name, c, (q,), labels, rng, true_cond, golden, out)
                    for q in queries)
     dt = (time.perf_counter() - t0) / len(queries)
     for q in queries:
         lab, mean, variance = answers[q]
-        out.append(_label_record(s.true_cond[q], lab, mean, variance, dt,
+        out.append(_label_record(true_cond[q], lab, mean, variance, dt,
                                  golden.get(q)))
     return 0
 
 
-#: Shards run in forked workers where the platform can fork, else in-process.
+#: Tasks run in forked workers where the platform can fork, else in-process.
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 _worker_job: Optional[_Job] = None   # set in forked workers only, by _adopt
 
@@ -439,8 +447,8 @@ def _adopt(job: _Job) -> None:
     _worker_job = job
 
 
-def _worker_shard(lo: int, hi: int):
-    return _shard(_worker_job, lo, hi)
+def _worker_task(t: int):
+    return _task(_worker_job, t)
 
 
 def _usable_cpus() -> int:
@@ -449,42 +457,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_shards(job: _Job) -> list:
-    """Each shard's result, in label-set order.
+def _run_tasks(job: _Job) -> list:
+    """Each truth draw's task result, in truth-draw order.
 
-    One contiguous shard per usable CPU, each in its own forked worker, so
-    that no shard runs in (and grows) the calling process.  With one CPU,
-    or where the platform cannot fork, one shard runs in-process.  A
-    shard's exception re-raises here with its type; the pool is joined
-    before this returns.
+    One forked worker per usable CPU (at most one per draw) takes the next
+    queued task as it frees up, so that no task runs in (and grows) the
+    calling process.  With one CPU, or where the platform cannot fork, the
+    tasks run in-process.  The first task to fail re-raises here with its
+    type and cancels the queued ones; the pool is joined before this
+    returns.
     """
-    n_sets = len(job.sets)
-    n = min(n_sets, _usable_cpus())
+    n_draws = len(job.draws)
+    n = min(n_draws, _usable_cpus())
     if not _FORK or n <= 1:
-        return [_shard(job, 0, n_sets)]
+        return [_task(job, t) for t in range(n_draws)]
     with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(job,)) as pool:
-        futures = [pool.submit(_worker_shard, n_sets * k // n,
-                               n_sets * (k + 1) // n) for k in range(n)]
+        futures = [pool.submit(_worker_task, t) for t in range(n_draws)]
         try:
+            for f in as_completed(futures):
+                f.result()  # the first task to fail raises here
             return [f.result() for f in futures]
-        except BaseException:
+        finally:
             for f in futures:
                 f.cancel()
-            raise
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """Run the full protocol and aggregate per-backend metrics."""
     model = _resolve_model(cfg)
-    job = _Job(model.query_vars, cfg.backends, cfg.golden_samples,
-               _label_sets(cfg, model))
+    job = _Job(model, cfg.backends, cfg.golden_samples,
+               _truth_draws(cfg, model))
     records: dict[str, list[TrialRecord]] = {b: [] for b in cfg.backends}
     failures = dict.fromkeys(cfg.backends, 0)
-    for shard_records, shard_failures in _run_shards(job):
-        for b, recs in shard_records.items():
+    for task_records, task_failures in _run_tasks(job):
+        for b, recs in task_records.items():
             records[b] += recs
-            failures[b] += shard_failures[b]
+            failures[b] += task_failures[b]
     metrics = {b: _aggregate(b, records[b], failures[b], cfg.gammas)
                for b in cfg.backends}
     return MetricsReport(cfg, metrics)
@@ -495,8 +504,7 @@ def _aggregate(name: str, recs: list[TrialRecord], fails: int,
     if not recs:
         return BackendMetrics(name, 0, fails, float("nan"), float("nan"),
                               {g: float("nan") for g in gammas}, None,
-                              {q: float("nan") for q in
-                               ("min", "p25", "p50", "p75", "p95", "max")})
+                              dict.fromkeys(_QUANTILES, float("nan")))
     truths = np.array([r.truth for r in recs])
     means = np.array([r.mean for r in recs])
     variances = np.array([r.variance for r in recs])
@@ -505,12 +513,7 @@ def _aggregate(name: str, recs: list[TrialRecord], fails: int,
     coverage = _coverage(recs, gammas)
     pearson = _pearson(recs)
     secs = np.array([r.seconds for r in recs])
-    quants = {"min": float(secs.min()),
-              "p25": float(np.quantile(secs, 0.25)),
-              "p50": float(np.quantile(secs, 0.50)),
-              "p75": float(np.quantile(secs, 0.75)),
-              "p95": float(np.quantile(secs, 0.95)),
-              "max": float(secs.max())}
+    quants = {q: float(np.quantile(secs, p)) for q, p in _QUANTILES.items()}
     return BackendMetrics(name, len(recs), fails, actual, predicted,
                           coverage, pearson, quants)
 

@@ -225,6 +225,16 @@ class TestMMOperators:
         assert z.mean == 0.0
         assert z.variance == pytest.approx(0.01 / 0.25)
 
+    @pytest.mark.parametrize("x, y", [
+        (Moments(1e-170, 1e-345), Moments(0.5, 0.01)),
+        (Moments(0.0, 0.0), Moments(1e-170, 0.0)),
+        (Moments(1e-160, 0.0), Moments(1.001e-160, 0.0)),
+    ], ids=["numerator", "zero-numerator", "gap"])
+    def test_division_underflow_is_named(self, x, y):
+        with pytest.raises(ArithmeticError, match="squared underflows") as exc:
+            mm_division(x, y)
+        assert not isinstance(exc.value, ZeroDivisionError)
+
     def test_product_breaks_total_probability(self):
         # With X + (1-X) partitioning Y, the independent product variance
         # gets var[YX] + var[Y(1-X)] != var[Y]: it ignores that the two

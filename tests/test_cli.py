@@ -229,6 +229,22 @@ class TestExperiment:
         assert {p.name for p in out.iterdir()} == {
             "rmse.csv", "calibration.csv", "correlation.csv", "timing.csv"}
 
+    def test_invalid_circuit_file_exit_code(self, tmp_path, capsys):
+        # An OR over two literals that can both hold: not deterministic.
+        # Unchecked, cpb and mm scored it against its own wrong sweep.
+        circuit = tmp_path / "bad.nnf"
+        circuit.write_text("nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "circuit_file": str(circuit), "query_vars": [1], "n_ins": 10,
+            "truth_draws": 10, "repetitions": 3, "backends": ["cpb", "mm"],
+            "golden_samples": 0}))
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "experiment", "--config", config, "--out", out)
+        assert rc == 2
+        assert err.startswith("error:") and "OR children [0, 1] overlap" in err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"model": "nope"}))

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
 
-from betacircuits import harness
+from betacircuits import examples, harness
 from betacircuits.examples import BUILTIN_MODELS
 from betacircuits.harness import (DEFAULT_GAMMAS, ExperimentConfig,
                                   run_experiment)
@@ -217,7 +218,8 @@ def failing_config():
 class TestWorkers:
     @pytest.mark.skipif(not harness._FORK, reason="needs the fork start method")
     def test_workers_match_in_process(self, tmp_path, monkeypatch):
-        # The output does not depend on how the label sets are sharded.
+        # The output does not depend on how many workers take the truth
+        # draws, nor on whether there are fewer draws than CPUs.
         mixed = ("cpb", "mm", "sl", "mc:200", "mc:300")
         cells = {
             "net1": small_config(model="net1", truth_draws=10, repetitions=3,
@@ -246,7 +248,30 @@ class TestWorkers:
                     m.setattr(harness, "_usable_cpus", lambda: cpus)
                     out = metric_csvs(cfg, tmp_path / tag / str(cpus))
                     assert out == expected, (tag, cpus)
-        assert pools == [2, 3, 7] * len(cells)
+        # One worker per CPU, at most one per truth draw.
+        assert pools == [min(cfg.trial_shape[0], cpus)
+                         for cfg in cells.values() for cpus in (2, 3, 7)]
+
+    @pytest.mark.skipif(not harness._FORK, reason="needs the fork start method")
+    def test_calling_process_compiles_nothing(self, monkeypatch):
+        # Forked workers compile the evidence circuits; their calls to the
+        # counting wrapper land in their own copies of ``calls``.
+        calls = []
+        shannon_compile = examples.shannon_compile
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shannon_compile(*args, **kwargs)
+
+        monkeypatch.setattr(examples, "shannon_compile", counted)
+        cfg = small_config(model="net1", truth_draws=10, repetitions=3)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        run_experiment(cfg)
+        assert calls == []
+        # In-process, the same wrapper sees the compilations.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        run_experiment(cfg)
+        assert len(calls) > 0
 
     def test_mixed_cell_output_is_pinned(self, tmp_path):
         # Two mc backends between the analytic ones: each label set's mc
@@ -325,6 +350,26 @@ class TestWorkers:
         with pytest.raises(InconsistentEvidenceError, match="golden evidence"):
             run_experiment(small_config())
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not harness._FORK, reason="needs the fork start method")
+    def test_failing_task_cancels_the_queued_ones(self, tmp_path,
+                                                  monkeypatch):
+        # Every task fails after a short wait; the first failure cancels
+        # the draws still queued instead of running all thirty.
+        ran = tmp_path / "ran"
+
+        def failing(job, t):
+            with open(ran, "a") as f:
+                f.write(f"{t}\n")
+            time.sleep(0.05)
+            raise ZeroDivisionError(f"task {t}")
+
+        monkeypatch.setattr(harness, "_task", failing)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        with pytest.raises(ZeroDivisionError, match="task"):
+            run_experiment(small_config(truth_draws=30, repetitions=1))
+        assert multiprocessing.active_children() == []
+        assert len(ran.read_text().split()) < 30
 
 
 class TestCoverage:
