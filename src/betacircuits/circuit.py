@@ -109,10 +109,12 @@ class Circuit:
             self._scopes = out
         return self._scopes
 
-    def literal_leaves(self, literal: int) -> list[int]:
-        """Ids of all leaves carrying exactly this signed literal."""
-        return [n.id for n in self.nodes
-                if n.kind is NodeKind.LITERAL and n.literal == literal]
+    def schedule(self, queries: tuple[int, ...]) -> _Schedule:
+        """The sweep schedule of ``queries`` (literals), cached per tuple."""
+        plan = self._schedules.get(queries)
+        if plan is None:
+            plan = self._schedules[queries] = _Schedule.build(self, queries)
+        return plan
 
     def variables(self) -> frozenset[int]:
         return self.scopes()[self.root]
@@ -497,11 +499,12 @@ def parse_condition_file(text: str) -> tuple[Optional[int], list[tuple[int, bool
 class _Schedule:
     """Node schedule of one evidence sweep and the per-query joint sweeps.
 
-    ``order`` lists the nodes that reach the root, children first.  A
-    query's ``joint`` entry holds the nodes it recomputes (the ancestors of
-    its negated-query leaves, in order) and their release schedule.  A
-    release schedule maps a node to the children whose values die once it
-    has read them.  It holds node ids only, no reference to its circuit.
+    ``order`` lists the nodes that reach the root, in id order (children
+    first).  A query's ``joint`` entry holds the nodes it recomputes (its
+    negated-query leaves with lambda = 1 that reach the root, and their
+    ancestors, in id order) and their release schedule.  A release
+    schedule maps a node to the children whose values die once it has
+    read them.  It holds node ids only, no reference to its circuit.
     """
 
     order: list[int]
@@ -559,10 +562,7 @@ def eval_queries(c: Circuit, queries: Iterable[int], zero, one,
     each value is dropped after its last reader.  ``queries`` are literals,
     not checked against ``c``; their schedule is cached on ``c``.
     """
-    queries = tuple(queries)
-    plan = c._schedules.get(queries)
-    if plan is None:
-        plan = c._schedules[queries] = _Schedule.build(c, queries)
+    plan = c.schedule(tuple(queries))
     nodes = c.nodes
 
     def sweep(values: list, ids: list[int], release: dict[int, list[int]],

@@ -17,13 +17,14 @@ first-order (delta-method) moments are
 
 where g_X is the gradient of X with respect to theta at the means and S
 is the leaf covariance: the label variances on the diagonal and the
-explicit cross-variable entries off it.  Each gradient takes one forward
-pass (node means and per-gate child weights) and one reverse pass
+explicit cross-variable entries off it.  Each gradient takes a forward
+pass (node means and per-gate child weights) and a reverse pass
 (adjoints), so it costs O(n) time and memory (Darwiche, "A differential
-approach to inference in Bayesian networks", JACM 2003).  The evidence
-root Y is shared by every query on one evidence circuit, so
-``eval_cov_queries`` takes g_Y once and one g_X per query.  The gate rules
-behind the weights are:
+approach to inference in Bayesian networks", JACM 2003).  The passes
+follow ``Circuit.schedule``, as every backend's sweeps do: Y's forward
+pass runs once, and each query's X recomputes only the ancestors of its
+negated leaves.  Every reverse pass walks all nodes that reach the root.
+The gate rules behind the weights are:
 
 * OR gates (children mutually exclusive, so the sum is literal):
   E[n] = sum_c E[c], with weight dn/dc = 1.
@@ -50,11 +51,11 @@ to 0.0 below E[Y] ~ 1e-81.  A subnormal E[Y] (below ~2.2e-308) is
 reported as an ArithmeticError, as its gradients have lost bits.  The
 variance is clamped to [0, mu (1 - mu)] before beta moment matching.
 
-``shadow_circuit`` duplicates the negated-query leaves and their
-ancestors, so one circuit carries both roots.  The dense O(n^2) reference,
-which propagates every node's covariance row against every other node
-(cov[n,z] = sum_c w_c cov[c,z]) over a shadowed circuit, lives with the
-tests in ``tests/dense_reference.py``.
+``shadow_circuit`` duplicates those same ancestors, so one circuit
+carries both roots.  The dense O(n^2) reference, which propagates every
+node's covariance row against every other node (cov[n,z] = sum_c w_c
+cov[c,z]) over a shadowed circuit, lives with the tests in
+``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -173,45 +174,26 @@ class ShadowedCircuit:
 
 
 def shadow_circuit(c: Circuit) -> ShadowedCircuit:
-    """Duplicate the negated-query leaves and their ancestor closure.
+    """Duplicate the nodes that the staged query's numerator recomputes.
 
-    Requires a query staged by ``set_condition``.  When the negated query
-    has no leaf occurrence the shadow set is empty and the shadow root
-    coincides with the base root (the conditional is then trivially 1,
-    i.e. the query is implied by the circuit and evidence).
+    Requires a query staged by ``set_condition``.  The shadowed nodes are
+    the query's ``joint`` schedule: its negated leaves with lambda = 1 that
+    reach the root, and their ancestors.  When there are none the shadow
+    root coincides with the base root (the conditional is then trivially
+    1, i.e. the query is implied by the circuit and evidence).
     """
-    if c.query_literal is None:
+    q = c.query_literal
+    if q is None:
         raise CircuitError("circuit has no staged query; call set_condition first")
-    qneg_leaves = c.literal_leaves(-c.query_literal)
-
-    parents: dict[int, set[int]] = {i: set() for i in range(len(c))}
-    for n in c.nodes:
-        for ch in n.children:
-            parents[ch].add(n.id)
-
-    shadowed: set[int] = set()
-    stack = list(qneg_leaves)
-    while stack:
-        nid = stack.pop()
-        if nid in shadowed:
-            continue
-        shadowed.add(nid)
-        stack.extend(parents[nid])
-
-    shadow_of: dict[int, int] = {}
-    next_id = len(c)
-    for nid in sorted(shadowed):
-        shadow_of[nid] = next_id
-        next_id += 1
-
-    stub_ids = frozenset(shadow_of[l] for l in qneg_leaves)
-    shadow_children: dict[int, tuple[int, ...]] = {}
-    for nid in sorted(shadowed):
-        node = c.node(nid)
-        if node.children:
-            shadow_children[shadow_of[nid]] = tuple(
-                shadow_of.get(ch, ch) for ch in node.children)
-    return ShadowedCircuit(c, shadow_of, shadow_children, stub_ids, next_id)
+    shadowed = c.schedule((q,)).joint[q][0]
+    shadow_of = {nid: len(c) + k for k, nid in enumerate(shadowed)}
+    stub_ids = frozenset(shadow_of[nid] for nid in shadowed
+                         if not c.node(nid).children)
+    shadow_children = {shadow_of[nid]: tuple(shadow_of.get(ch, ch)
+                                             for ch in c.node(nid).children)
+                       for nid in shadowed if c.node(nid).children}
+    return ShadowedCircuit(c, shadow_of, shadow_children, stub_ids,
+                           len(c) + len(shadowed))
 
 
 # ---------------------------------------------------------------------
@@ -242,11 +224,6 @@ def _leaf_means(c: Circuit, labels: LabelTable) -> list[float]:
     return means
 
 
-def _stochastic_leaves(c: Circuit) -> list[CircuitNode]:
-    """The lambda=1 literal leaves (the only nodes with leaf-level cov)."""
-    return [n for n in c.nodes if n.kind is NodeKind.LITERAL and n.lam == 1]
-
-
 def _gate(kind: NodeKind, child_means: list[float]) -> tuple[float, list[float]]:
     """A gate's mean and its per-child weights dn/dc.
 
@@ -268,40 +245,37 @@ def _gate(kind: NodeKind, child_means: list[float]) -> tuple[float, list[float]]
     return prefix[k], [prefix[i] * suffix[i + 1] for i in range(k)]
 
 
-def _root_gradient(c: Circuit, leaf_means: list[float],
-                   zeroed: frozenset[int]) -> tuple[float, dict[int, float]]:
-    """Root mean and its derivative with respect to each leaf variable.
-
-    One forward pass computes the node means (``leaf_means`` at the leaves,
-    with the ``zeroed`` leaves pinned to 0) and each gate's per-child
-    weights; one reverse pass accumulates the adjoints d root / d node.  A
-    variable's derivative is the adjoint sum over its positive lambda=1
-    leaves minus that over its negative ones, since a negative leaf carries
-    1 - theta.  The zeroed leaves are constants and contribute nothing.
-    """
-    means = list(leaf_means)
-    for nid in zeroed:
-        means[nid] = 0.0
-    weights: list[list[float]] = [[] for _ in range(len(c))]
-    for node in c.nodes:
+def _forward(nodes: list[CircuitNode], ids: list[int], means: list[float],
+             weights: list[list[float]]) -> None:
+    """Recompute the mean and child weights of every gate in ``ids``."""
+    for i in ids:
+        node = nodes[i]
         if node.children:
-            child_means = [means[ch] for ch in node.children]
-            means[node.id], weights[node.id] = _gate(node.kind, child_means)
+            means[i], weights[i] = _gate(
+                node.kind, [means[ch] for ch in node.children])
 
+
+def _gradient(c: Circuit, order: list[int], weights: list[list[float]],
+              leaves: list[CircuitNode]) -> dict[int, float]:
+    """The root's derivative with respect to each variable of ``leaves``.
+
+    One reverse pass over ``order`` accumulates the adjoints d root / d
+    node.  A variable's derivative is the adjoint sum over its positive
+    ``leaves`` minus that over its negative ones, since a negative leaf
+    carries 1 - theta.
+    """
     adjoint = [0.0] * len(c)
     adjoint[c.root] = 1.0
-    for nid in range(c.root, -1, -1):
+    for nid in reversed(order):
         a = adjoint[nid]
         if a != 0.0:
             for ch, w in zip(c.node(nid).children, weights[nid]):
                 adjoint[ch] += a * w
-
     grad: dict[int, float] = {}
-    for leaf in _stochastic_leaves(c):
-        if leaf.id not in zeroed:
-            d = adjoint[leaf.id] if leaf.literal > 0 else -adjoint[leaf.id]
-            grad[leaf.var] = grad.get(leaf.var, 0.0) + d
-    return means[c.root], grad
+    for leaf in leaves:
+        d = adjoint[leaf.id] if leaf.literal > 0 else -adjoint[leaf.id]
+        grad[leaf.var] = grad.get(leaf.var, 0.0) + d
+    return grad
 
 
 def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
@@ -314,26 +288,42 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     maps each to its answer.  The denominator Y is the root as is, and a
     query's numerator X is the root with that query's negated leaves
     pinned to 0.  The leaf means and (E[Y], g_Y) are computed once; each
-    query adds one numerator pass.  With mu = E[X]/E[Y], the ratio gradient
-    is rho = (g_X - mu g_Y)/E[Y] and the variance is rho' S rho, where S
-    holds the label variances on its diagonal and ``leaf_cov``'s cross
-    entries off it (default: independent leaves).  O(n) time and memory
-    per query.  An error of the evidence (E[Y] zero or subnormal) raises
-    before any query is answered.
+    query copies Y's node means and gate weights, recomputes its ``joint``
+    nodes in ``c.schedule(queries)`` and adds one reverse pass.  With
+    mu = E[X]/E[Y], the ratio gradient is rho = (g_X - mu g_Y)/E[Y] and
+    the variance is rho' S rho, where S holds the label variances on its
+    diagonal and ``leaf_cov``'s cross entries off it (default: independent
+    leaves).  O(n) time and memory per query.  An error of the evidence
+    (E[Y] zero or subnormal) raises before any query is answered.
     """
     queries = query_literals(c, queries)
-    leaf_means = _leaf_means(c, labels)
-    mean_den, g_den = _root_gradient(c, leaf_means, frozenset())
+    plan = c.schedule(queries)
+    nodes = c.nodes
+    means = _leaf_means(c, labels)
+    weights: list[list[float]] = [[] for _ in nodes]
+    _forward(nodes, plan.order, means, weights)
+    mean_den = means[c.root]
     if mean_den == 0.0:
         raise InconsistentEvidenceError("inconsistent evidence")
     if mean_den < sys.float_info.min:
         # A subnormal E[Y] and its gradients keep too few bits for rho.
         raise ArithmeticError(f"E[evidence] = {mean_den!r} is subnormal")
+    # The lambda=1 literal leaves: the only nodes with leaf-level cov.
+    leaves = [nodes[i] for i in plan.order
+              if nodes[i].kind is NodeKind.LITERAL and nodes[i].lam == 1]
+    g_den = _gradient(c, plan.order, weights, leaves)
     out = {}
     for q in queries:
-        mean_num, g_num = _root_gradient(c, leaf_means,
-                                         frozenset(c.literal_leaves(-q)))
-        mean = mean_num / mean_den
+        ids = plan.joint[q][0]
+        means_num, weights_num = means.copy(), weights.copy()
+        for i in ids:
+            if not nodes[i].children:   # a negated-query leaf
+                means_num[i] = 0.0
+        _forward(nodes, ids, means_num, weights_num)
+        mean = means_num[c.root] / mean_den
+        # The pinned leaves are constants and contribute no derivative.
+        g_num = _gradient(c, plan.order, weights_num,
+                          [leaf for leaf in leaves if leaf.literal != -q])
         # The numerator's leaves are a subset of the denominator's.
         rho = {v: (g_num.get(v, 0.0) - mean * d) / mean_den
                for v, d in g_den.items()}

@@ -109,8 +109,9 @@ class ExperimentConfig:
     ``model`` names a builtin ({burglary, smokers, net1, net2, net3});
     alternatively ``circuit_file`` + ``query_vars`` run a fixed circuit
     whose labelled variables are all treated as learnable.  ``backends``
-    are drawn from {cpb, mm, sl, mc:<k>}.  ``fast`` shrinks the trial
-    counts (30 truth draws x 5 repetitions instead of 100 x 10) for CI.
+    are distinct names from {cpb, mm, sl, mc:<k>}, and ``gammas`` distinct
+    levels in (0, 1).  ``fast`` shrinks the trial counts (30 truth draws
+    x 5 repetitions instead of 100 x 10) for CI.
     """
 
     model: Optional[str] = None
@@ -132,22 +133,30 @@ class ExperimentConfig:
         if self.model is not None and self.model not in BUILTIN_MODELS:
             raise ValueError(f"unknown builtin model {self.model!r}; "
                              f"choose from {sorted(BUILTIN_MODELS)}")
-        if self.circuit_file is not None and not self.query_vars:
-            raise ValueError("query_vars is required with circuit_file")
+        if (self.circuit_file is not None) != bool(self.query_vars):
+            raise ValueError("query_vars is required with circuit_file and "
+                             "not accepted with a builtin model")
         if self.model is not None:
             _check_model_options(self.model, self.model_options)
         for name in ("n_ins", "truth_draws", "repetitions", "seed",
                      "golden_samples"):
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"{name} must be an integer")
+        for name, low in (("n_ins", 1), ("truth_draws", 1),
+                          ("repetitions", 1), ("golden_samples", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         g, r = self.trial_shape
         if g * r < 30:
             raise ValueError("need at least 30 trials (truth_draws x "
                              "repetitions) for calibration statistics")
         for b in self.backends:
             _check_backend(b)
-        if self.n_ins < 1:
-            raise ValueError("n_ins must be >= 1")
+        for name in ("backends", "gammas"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} must not repeat a value")
+        if not self.gammas or not all(0.0 < x < 1.0 for x in self.gammas):
+            raise ValueError("gammas must be one or more values in (0, 1)")
 
     @property
     def trial_shape(self) -> tuple[int, int]:

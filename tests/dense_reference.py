@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from betacircuits.circuit import CircuitNode, LabelTable
+from betacircuits.circuit import CircuitNode, LabelTable, NodeKind
 from betacircuits.cpb import (LeafCovariance, ShadowedCircuit, _gate,
-                              _leaf_means, _stochastic_leaves)
+                              _leaf_means)
 from betacircuits.semirings import InconsistentEvidenceError
 
 
@@ -45,8 +45,9 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
 
     means[:len(c)] = _leaf_means(c, labels)
     by_var: dict[int, list[CircuitNode]] = {}
-    for leaf in _stochastic_leaves(c):
-        by_var.setdefault(leaf.var, []).append(leaf)
+    for node in c.nodes:
+        if node.kind is NodeKind.LITERAL and node.lam == 1:
+            by_var.setdefault(node.var, []).append(node)
     for vi, vj in [(v, v) for v in by_var] + list(leaf_cov.cross_entries):
         for a in by_var.get(vi, ()):
             for b in by_var.get(vj, ()):

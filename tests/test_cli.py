@@ -216,6 +216,11 @@ class TestInfer:
         assert outs[0] == outs[1]
 
 
+#: A valid cell that runs in well under a second.
+FAST_BURGLARY = {"model": "burglary", "n_ins": 10, "backends": ["cpb"],
+                 "fast": True, "golden_samples": 0}
+
+
 class TestExperiment:
     def test_writes_metric_csvs(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -261,8 +266,32 @@ class TestExperiment:
         (["net1"], "must be a JSON object"),
         ({"model": "net1", "model_options": {"bogus": 1}, "fast": True},
          "model 'net1' has no option 'bogus'"),
+        # Unchecked, -6 x -6 passes the 30-trial check and writes NaN CSVs,
+        # a negative golden_samples reads as 0, a repeated backend counts
+        # its trials twice, a builtin ignores query_vars, and every gamma
+        # is scored as given.
+        ({"model": "burglary", "truth_draws": -6, "repetitions": -6,
+          "golden_samples": 0}, "truth_draws must be >= 1"),
+        ({"model": "burglary", "truth_draws": 30, "repetitions": 0,
+          "golden_samples": 0}, "repetitions must be >= 1"),
+        ({**FAST_BURGLARY, "golden_samples": -1},
+         "golden_samples must be >= 0"),
+        ({**FAST_BURGLARY, "backends": ["cpb", "cpb"]},
+         "backends must not repeat a value"),
+        ({**FAST_BURGLARY, "query_vars": [1]},
+         "not accepted with a builtin model"),
+        ({**FAST_BURGLARY, "gammas": []}, "gammas must be one or more values"),
+        ({**FAST_BURGLARY, "gammas": [0.5, 0.5]},
+         "gammas must not repeat a value"),
+        ({**FAST_BURGLARY, "gammas": [1.5, -0.2]},
+         "gammas must be one or more values in (0, 1)"),
+        ({**FAST_BURGLARY, "gammas": [0.5, 1.0]},
+         "gammas must be one or more values in (0, 1)"),
     ], ids=["unknown-key", "wrong-type", "wrong-seed-type", "not-a-list",
-            "not-an-object", "unknown-model-option"])
+            "not-an-object", "unknown-model-option", "no-truth-draws",
+            "no-repetitions", "negative-golden-samples", "repeated-backend",
+            "query-vars-with-model", "no-gammas", "repeated-gamma",
+            "gammas-out-of-range", "gamma-of-1"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, raw, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(raw))

@@ -10,6 +10,7 @@ import pytest
 from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
                                   parse_nnf, set_condition)
+from betacircuits import cpb
 from betacircuits.compile import (Theory, f_and, f_iff, f_not, f_or, f_var,
                                   shannon_compile)
 from betacircuits.cpb import (LeafCovariance, eval_cov, eval_cov_queries,
@@ -115,6 +116,45 @@ class TestShadowing:
         res = eval_cov(sc, LabelTable({1: BetaLabel(2, 2)}))
         assert res.mean == 1.0
         assert res.variance == 0.0
+
+
+class TestPasses:
+    """The gates that ``eval_cov_queries`` evaluates, counted."""
+
+    @staticmethod
+    def gates_evaluated(monkeypatch, nnf, queries):
+        calls = []
+        gate_of = cpb._gate
+
+        def gate(kind, child_means):
+            calls.append(kind)
+            return gate_of(kind, child_means)
+
+        monkeypatch.setattr(cpb, "_gate", gate)
+        c = parse_nnf(nnf)
+        labels = LabelTable({v: BetaLabel(3, 2)
+                             for v in range(1, c.var_count + 1)})
+        eval_cov_queries(c, queries, labels)
+        return len(calls)
+
+    @pytest.mark.parametrize("queries, gates", [
+        # Y's 10 gates once, then per query the ancestors of its negated
+        # leaf (its block's AND and OR, and the root).  Query 2 has no
+        # negated leaf.  A full pass per query would make 10 each.
+        ((1,), 10 + 3),
+        ((1, -1, 4, 2), 10 + 3 + 3 + 3 + 0),
+    ])
+    def test_numerator_recomputes_only_ancestors(self, monkeypatch,
+                                                 make_block_nnf, queries,
+                                                 gates):
+        assert self.gates_evaluated(monkeypatch, make_block_nnf(3),
+                                    queries) == gates
+
+    def test_gate_that_misses_the_root_is_not_evaluated(self, monkeypatch):
+        # Gate 3 reads the negated query leaf but no path leads from it to
+        # the root 4: only the root is evaluated, for Y and for X.
+        nnf = "nnf 5 4 2\nL 1\nL -1\nL 2\nA 2 1 2\nO 1 2 0 1\n"
+        assert self.gates_evaluated(monkeypatch, nnf, (1,)) == 1 + 1
 
 
 class TestBurglaryGoldens:
@@ -407,7 +447,8 @@ def exact_first_order(staged, labels):
     root(theta_v = 0).  Each float input enters at its exact value.
     Returns None when the evidence has probability 0.
     """
-    qneg = set(staged.literal_leaves(-staged.query_literal))
+    qneg = {n.id for n in staged.nodes
+            if n.kind is NodeKind.LITERAL and n.literal == -staged.query_literal}
     theta = {v: Fraction(labels.mean_of(v)) for v in staged.variables()}
 
     def root(values, pinned):
