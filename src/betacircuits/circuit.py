@@ -17,10 +17,12 @@ on a leaf makes it contribute the additive identity, which removes every
 model containing that literal from the count -- this is how evidence and
 query conditioning are pushed into the circuit without rebuilding it.
 
-``eval_queries`` is that sweep for every value domain (point
-probabilities, opinions, moment pairs, Monte Carlo sample arrays): one
-evidence sweep, and per query a joint sweep that recomputes only the
-ancestors of the negated-query leaves.
+``sweep`` is that fold, the library's only bottom-up evaluator.
+``eval_queries`` runs it for every value domain (point probabilities,
+opinions, moment pairs, Monte Carlo sample arrays): one evidence sweep,
+and per query a joint sweep that recomputes only the ancestors of the
+negated-query leaves.  cpb's forward pass runs it on float means, and
+``validate`` on truth-table bitsets.
 
 File format (c2d-style NNF text):
 
@@ -36,6 +38,7 @@ node is the root.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -238,28 +241,16 @@ class ValidationReport:
 
 
 def _truth_tables(c: Circuit, columns: Mapping[int, int], full: int) -> list[int]:
-    """Every node's truth table as a bitset, in one pass over ``c.nodes``.
+    """Every node's truth table as a bitset, by one ``sweep`` over all nodes.
 
     Bit r of a table is the node's value on row r.  ``columns[v]`` is the
     table of variable v and ``full`` has every row's bit set; a variable
-    missing from ``columns`` makes its literal leaves raise KeyError.
+    missing from ``columns`` makes its literal leaves raise KeyError.  The
+    sweep reads a leaf with lambda = 0 as FALSE, so ``c`` is unconditioned.
     """
-    tables: list[int] = []
-    for n in c.nodes:
-        if n.kind is NodeKind.LITERAL:
-            col = columns[n.var]
-            tables.append(col if n.literal > 0 else full ^ col)
-        elif n.kind in (NodeKind.AND, NodeKind.TRUE):
-            acc = full
-            for ch in n.children:
-                acc &= tables[ch]
-            tables.append(acc)
-        else:
-            acc = 0
-            for ch in n.children:
-                acc |= tables[ch]
-            tables.append(acc)
-    return tables
+    return sweep(c, [None] * len(c), range(len(c)), {}, 0, full,
+                 operator.or_, operator.and_,
+                 lambda lit: columns[lit] if lit > 0 else full ^ columns[-lit])
 
 
 def truth_value(c: Circuit, assignment: Mapping[int, bool]) -> bool:
@@ -277,9 +268,11 @@ def validate(c: Circuit, max_check_vars: int = 16) -> ValidationReport:
 
     Determinism is checked exactly iff ``c.var_count <= max_check_vars``,
     otherwise the circuit is trusted and a warning is recorded.  The check
-    is one pass that builds every node's truth table over all 2^V rows of
-    its V leaf variables (n * 2^V bits of memory); an OR node is reported
-    at the lowest row, restricted to its scope, where two children hold.
+    is one ``sweep`` that builds every node's truth table over all 2^V rows
+    of its V leaf variables (n * 2^V bits of memory); an OR node is
+    reported at the lowest row, restricted to its scope, where two children
+    hold.  Only unconditioned circuits come here (every lambda is 1):
+    ``infer`` and the harness validate a circuit as parsed.
     """
     violations: list[str] = []
     warnings: list[str] = []
@@ -548,6 +541,38 @@ class _Schedule:
         return cls(order, release, joint)
 
 
+def sweep(c: Circuit, values: list, ids: Iterable[int],
+          release: Mapping[int, Sequence[int]], zero, one, plus: Callable,
+          times: Callable, leaf: Callable[[int], object]) -> list:
+    """Evaluate the nodes ``ids`` of ``c`` bottom-up into ``values``.
+
+    ``ids`` must list children before parents; every other node is read
+    from ``values`` as given.  A literal leaf gets ``zero`` when its lambda
+    is 0 and ``leaf(lit)`` otherwise, TRUE gets ``one`` and FALSE ``zero``.
+    An AND folds its children with ``times`` and an OR with ``plus``, in
+    file order (the opinion and moment calculi depend on it).  After node
+    i is evaluated, the children ``release[i]`` are set to None.
+    """
+    nodes = c.nodes
+    for i in ids:
+        n = nodes[i]
+        if n.kind is NodeKind.LITERAL:
+            values[i] = zero if n.lam == 0 else leaf(n.literal)
+        elif n.kind is NodeKind.TRUE:
+            values[i] = one
+        elif n.kind is NodeKind.FALSE:
+            values[i] = zero
+        else:
+            op = times if n.kind is NodeKind.AND else plus
+            acc = values[n.children[0]]
+            for ch in n.children[1:]:
+                acc = op(acc, values[ch])
+            values[i] = acc
+        for ch in release.get(i, ()):
+            values[ch] = None
+    return values
+
+
 def eval_queries(c: Circuit, queries: Iterable[int], zero, one,
                  plus: Callable, times: Callable,
                  leaf_value: Callable[[int], object]):
@@ -557,35 +582,14 @@ def eval_queries(c: Circuit, queries: Iterable[int], zero, one,
     literal leaf ``leaf_value(lit)``.  A query's joint sweep also gives the
     leaves of its negation ``zero``; it recomputes only their ancestors and
     reads every other node's evidence value, so each root equals that of
-    a full sweep.  Only nodes that reach the root are evaluated, children
-    fold in file order (the opinion and moment calculi depend on it), and
-    each value is dropped after its last reader.  ``queries`` are literals,
-    not checked against ``c``; their schedule is cached on ``c``.
+    a full sweep.  Only nodes that reach the root are evaluated, and each
+    value is dropped after its last reader.  ``queries`` are literals, not
+    checked against ``c``; their schedule is cached on ``c``.
     """
     plan = c.schedule(tuple(queries))
-    nodes = c.nodes
-
-    def sweep(values: list, ids: list[int], release: dict[int, list[int]],
-              leaf: Callable[[int], object]) -> list:
-        for i in ids:
-            n = nodes[i]
-            if n.kind is NodeKind.LITERAL:
-                values[i] = zero if n.lam == 0 else leaf(n.literal)
-            elif n.kind is NodeKind.TRUE:
-                values[i] = one
-            elif n.kind is NodeKind.FALSE:
-                values[i] = zero
-            else:
-                op = times if n.kind is NodeKind.AND else plus
-                acc = values[n.children[0]]
-                for ch in n.children[1:]:
-                    acc = op(acc, values[ch])
-                values[i] = acc
-            for ch in release.get(i, ()):
-                values[ch] = None
-        return values
-
-    ev = sweep([None] * len(nodes), plan.order, plan.release, leaf_value)
-    joints = {q: sweep(ev.copy(), ids, release, lambda lit: zero)[c.root]
+    ev = sweep(c, [None] * len(c), plan.order, plan.release, zero, one,
+               plus, times, leaf_value)
+    joints = {q: sweep(c, ev.copy(), ids, release, zero, one, plus, times,
+                       lambda lit: zero)[c.root]
               for q, (ids, release) in plan.joint.items()}
     return ev[c.root], joints

@@ -18,19 +18,23 @@ first-order (delta-method) moments are
 where g_X is the gradient of X with respect to theta at the means and S
 is the leaf covariance: the label variances on the diagonal and the
 explicit cross-variable entries off it.  Each gradient takes a forward
-pass (node means and per-gate child weights) and a reverse pass
-(adjoints), so it costs O(n) time and memory (Darwiche, "A differential
-approach to inference in Bayesian networks", JACM 2003).  The passes
-follow ``Circuit.schedule``, as every backend's sweeps do: Y's forward
-pass runs once, and each query's X recomputes only the ancestors of its
-negated leaves.  Every reverse pass walks all nodes that reach the root.
-The gate rules behind the weights are:
+pass (node means) and a reverse pass (adjoints), so it costs O(n) time
+and memory (Darwiche, "A differential approach to inference in Bayesian
+networks", JACM 2003).  The forward pass is ``circuit.sweep``, the one
+bottom-up fold behind every backend, with sums and products of floats:
+Y's runs once over ``Circuit.schedule``'s nodes, and each query's X
+recomputes only the ancestors of its negated leaves.  Every reverse pass
+walks all nodes that reach the root and forms each gate's child weights
+dn/dc from the means on its way down.  The gate rules are:
 
 * OR gates (children mutually exclusive, so the sum is literal):
-  E[n] = sum_c E[c], with weight dn/dc = 1.
+  E[n] = sum_c E[c], folded in file order, with weight dn/dc = 1.
 * AND gates (first-order expansion of the product around the means):
   E[n] = prod_c E[c], with weight w_c = prod_{c' != c} E[c'], i.e.
   E[n]/E[c] away from zero means.
+
+As the means are the sweep's, E[X]/E[Y] is the ``prob`` backend's
+conditional bit for bit.
 
 The second-order term var[c] var[c'] + cov[c,c']^2 of each product
 (Bohrnstedt & Goldberger 1969) is omitted.  Adding it to the AND
@@ -61,6 +65,7 @@ cov[c,z]) over a shadowed circuit, lives with the tests in
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -68,7 +73,7 @@ from typing import Iterable, Optional
 from . import betacalc
 from .betacalc import BetaLabel, Moments
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable,
-                      NodeKind, query_literals)
+                      NodeKind, query_literals, sweep)
 from .semirings import InconsistentEvidenceError
 
 
@@ -208,68 +213,51 @@ class QueryResult:
     variance_clamped: bool = False
 
 
-def _leaf_means(c: Circuit, labels: LabelTable) -> list[float]:
-    """Node-indexed leaf means, 0.0 at the gates.
+def _leave_one_out(xs: list[float]) -> list[float]:
+    """Each entry's product of the other entries: an AND's weights dn/dc.
 
-    TRUE is 1, a lambda=1 literal has its label mean, and FALSE and the
-    lambda=0 leaves are 0.  ``eval_cov_queries`` builds this once for all
-    its passes.
+    The leave-one-out product equals prod(xs)/x_c whenever x_c != 0 and is
+    its algebraic limit otherwise (the zero-mean rule), so no division by
+    zero can occur.  Two children, the common case, need no prefix and
+    suffix products; the two forms agree bit for bit.
     """
-    means = [0.0] * len(c)
-    for node in c.nodes:
-        if node.kind is NodeKind.TRUE:
-            means[node.id] = 1.0
-        elif node.kind is NodeKind.LITERAL and node.lam == 1:
-            means[node.id] = labels.mean_of(node.literal)
-    return means
-
-
-def _gate(kind: NodeKind, child_means: list[float]) -> tuple[float, list[float]]:
-    """A gate's mean and its per-child weights dn/dc.
-
-    OR: the fsum of the child means, and weight 1 per child.  AND: the
-    product of the child means, and the leave-one-out products as weights.
-    The leave-one-out product equals E[n]/E[c] whenever E[c] != 0 and is its
-    algebraic limit otherwise (the zero-mean rule), so no division by zero
-    can occur.
-    """
-    if kind is NodeKind.OR:
-        return math.fsum(child_means), [1.0] * len(child_means)
-    k = len(child_means)
+    k = len(xs)
+    if k == 2:
+        return [xs[1], xs[0]]
     prefix = [1.0] * (k + 1)
     for i in range(k):
-        prefix[i + 1] = prefix[i] * child_means[i]
+        prefix[i + 1] = prefix[i] * xs[i]
     suffix = [1.0] * (k + 1)
     for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * child_means[i]
-    return prefix[k], [prefix[i] * suffix[i + 1] for i in range(k)]
+        suffix[i] = suffix[i + 1] * xs[i]
+    return [prefix[i] * suffix[i + 1] for i in range(k)]
 
 
-def _forward(nodes: list[CircuitNode], ids: list[int], means: list[float],
-             weights: list[list[float]]) -> None:
-    """Recompute the mean and child weights of every gate in ``ids``."""
-    for i in ids:
-        node = nodes[i]
-        if node.children:
-            means[i], weights[i] = _gate(
-                node.kind, [means[ch] for ch in node.children])
-
-
-def _gradient(c: Circuit, order: list[int], weights: list[list[float]],
+def _gradient(c: Circuit, order: list[int], means: list[float],
               leaves: list[CircuitNode]) -> dict[int, float]:
     """The root's derivative with respect to each variable of ``leaves``.
 
     One reverse pass over ``order`` accumulates the adjoints d root / d
-    node.  A variable's derivative is the adjoint sum over its positive
-    ``leaves`` minus that over its negative ones, since a negative leaf
-    carries 1 - theta.
+    node from the node ``means``: an OR passes its adjoint to each child
+    unchanged, and an AND multiplies it by the leave-one-out product of its
+    other children's means.  A variable's derivative is the adjoint sum
+    over its positive ``leaves`` minus that over its negative ones, since
+    a negative leaf carries 1 - theta.
     """
+    nodes = c.nodes
     adjoint = [0.0] * len(c)
     adjoint[c.root] = 1.0
     for nid in reversed(order):
         a = adjoint[nid]
-        if a != 0.0:
-            for ch, w in zip(c.node(nid).children, weights[nid]):
+        if a == 0.0:
+            continue
+        node = nodes[nid]
+        if node.kind is NodeKind.OR:
+            for ch in node.children:
+                adjoint[ch] += a
+        elif node.kind is NodeKind.AND:
+            weights = _leave_one_out([means[ch] for ch in node.children])
+            for ch, w in zip(node.children, weights):
                 adjoint[ch] += a * w
     grad: dict[int, float] = {}
     for leaf in leaves:
@@ -287,9 +275,9 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     query, if any, is ignored.  ``queries`` are query literals; the result
     maps each to its answer.  The denominator Y is the root as is, and a
     query's numerator X is the root with that query's negated leaves
-    pinned to 0.  The leaf means and (E[Y], g_Y) are computed once; each
-    query copies Y's node means and gate weights, recomputes its ``joint``
-    nodes in ``c.schedule(queries)`` and adds one reverse pass.  With
+    pinned to 0.  Y's node means and (E[Y], g_Y) are computed once; each
+    query copies Y's means, recomputes its ``joint`` nodes in
+    ``c.schedule(queries)`` and adds one reverse pass.  With
     mu = E[X]/E[Y], the ratio gradient is rho = (g_X - mu g_Y)/E[Y] and
     the variance is rho' S rho, where S holds the label variances on its
     diagonal and ``leaf_cov``'s cross entries off it (default: independent
@@ -299,9 +287,8 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     queries = query_literals(c, queries)
     plan = c.schedule(queries)
     nodes = c.nodes
-    means = _leaf_means(c, labels)
-    weights: list[list[float]] = [[] for _ in nodes]
-    _forward(nodes, plan.order, means, weights)
+    means = sweep(c, [0.0] * len(c), plan.order, {}, 0.0, 1.0,
+                  operator.add, operator.mul, labels.mean_of)
     mean_den = means[c.root]
     if mean_den == 0.0:
         raise InconsistentEvidenceError("inconsistent evidence")
@@ -311,18 +298,15 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     # The lambda=1 literal leaves: the only nodes with leaf-level cov.
     leaves = [nodes[i] for i in plan.order
               if nodes[i].kind is NodeKind.LITERAL and nodes[i].lam == 1]
-    g_den = _gradient(c, plan.order, weights, leaves)
+    g_den = _gradient(c, plan.order, means, leaves)
     out = {}
     for q in queries:
-        ids = plan.joint[q][0]
-        means_num, weights_num = means.copy(), weights.copy()
-        for i in ids:
-            if not nodes[i].children:   # a negated-query leaf
-                means_num[i] = 0.0
-        _forward(nodes, ids, means_num, weights_num)
+        # The joint ids' leaves are the negated-query leaves, pinned to 0.
+        means_num = sweep(c, means.copy(), plan.joint[q][0], {}, 0.0, 1.0,
+                          operator.add, operator.mul, lambda lit: 0.0)
         mean = means_num[c.root] / mean_den
         # The pinned leaves are constants and contribute no derivative.
-        g_num = _gradient(c, plan.order, weights_num,
+        g_num = _gradient(c, plan.order, means_num,
                           [leaf for leaf in leaves if leaf.literal != -q])
         # The numerator's leaves are a subset of the denominator's.
         rho = {v: (g_num.get(v, 0.0) - mean * d) / mean_den

@@ -130,6 +130,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.model is None) == (self.circuit_file is None):
             raise ValueError("exactly one of model / circuit_file is required")
+        if not isinstance(self.circuit_file, (str, type(None))):
+            raise ValueError("circuit_file must be a string")
         if self.model is not None and self.model not in BUILTIN_MODELS:
             raise ValueError(f"unknown builtin model {self.model!r}; "
                              f"choose from {sorted(BUILTIN_MODELS)}")
@@ -138,10 +140,17 @@ class ExperimentConfig:
                              "not accepted with a builtin model")
         if self.model is not None:
             _check_model_options(self.model, self.model_options)
+        elif self.model_options != {}:
+            raise ValueError("model_options is not accepted with circuit_file")
         for name in ("n_ins", "truth_draws", "repetitions", "seed",
                      "golden_samples"):
-            if not isinstance(getattr(self, name), int):
+            # Not isinstance: JSON's true and false load as bools, an int type.
+            if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
+        if any(type(q) is not int for q in self.query_vars):
+            raise ValueError("query_vars must be integers")
+        if not isinstance(self.fast, bool):
+            raise ValueError("fast must be true or false")
         for name, low in (("n_ins", 1), ("truth_draws", 1),
                           ("repetitions", 1), ("golden_samples", 0)):
             if getattr(self, name) < low:
@@ -150,9 +159,11 @@ class ExperimentConfig:
         if g * r < 30:
             raise ValueError("need at least 30 trials (truth_draws x "
                              "repetitions) for calibration statistics")
+        if not self.backends:
+            raise ValueError("backends must name one or more backends")
         for b in self.backends:
             _check_backend(b)
-        for name in ("backends", "gammas"):
+        for name in ("query_vars", "backends", "gammas"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"{name} must not repeat a value")
         if not self.gammas or not all(0.0 < x < 1.0 for x in self.gammas):
@@ -187,16 +198,19 @@ def _check_model_options(model: str, options: dict) -> None:
     if not isinstance(options, dict):
         raise ValueError("model_options must be an object")
     accepted = inspect.signature(BUILTIN_MODELS[model]).parameters
-    for key in options:
+    for key, value in options.items():
         if key not in accepted:
             raise ValueError(f"model {model!r} has no option {key!r}; "
                              f"choose from {sorted(accepted)}")
+        kind = type(accepted[key].default)
+        if type(value) is not kind:
+            raise ValueError(f"model option {key!r} must be a {kind.__name__}")
 
 
 def _check_backend(name: str) -> None:
     if name in ("cpb", "mm", "sl"):
         return
-    if name.startswith("mc:"):
+    if isinstance(name, str) and name.startswith("mc:"):
         try:
             k = int(name[3:])
         except ValueError:

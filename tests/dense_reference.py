@@ -2,9 +2,12 @@
 
 ``moment_sweep`` propagates every node's mean and its covariance row
 against every other node of a shadowed circuit (cov[n,z] = sum_c w_c
-cov[c,z], with the gate weights of ``cpb._gate``).  It yields the same
-first-order moments as ``cpb.eval_cov``'s gradient form, and lets the
-tests inspect the covariance of any two nodes.
+cov[c,z]).  It forms its own gate means and weights: an OR's mean is the
+fsum of its children's and each weight is 1; an AND's mean is their
+product and each child's weight the product of the other children's
+means.  It yields the same first-order moments as ``cpb.eval_cov``'s
+gradient form, and lets the tests inspect the covariance of any two
+nodes.
 
 ``conditioned_moments`` conditions on the dense matrix with the
 three-term delta formula over var[X], var[Y] and cov[X, Y], a different
@@ -19,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from betacircuits.circuit import CircuitNode, LabelTable, NodeKind
-from betacircuits.cpb import (LeafCovariance, ShadowedCircuit, _gate,
-                              _leaf_means)
+from betacircuits.cpb import LeafCovariance, ShadowedCircuit
 from betacircuits.semirings import InconsistentEvidenceError
 
 
@@ -43,10 +45,12 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
     means = np.zeros(n)
     cov = np.zeros((n, n))
 
-    means[:len(c)] = _leaf_means(c, labels)
     by_var: dict[int, list[CircuitNode]] = {}
     for node in c.nodes:
-        if node.kind is NodeKind.LITERAL and node.lam == 1:
+        if node.kind is NodeKind.TRUE:
+            means[node.id] = 1.0
+        elif node.kind is NodeKind.LITERAL and node.lam == 1:
+            means[node.id] = labels.mean_of(node.literal)
             by_var.setdefault(node.var, []).append(node)
     for vi, vj in [(v, v) for v in by_var] + list(leaf_cov.cross_entries):
         for a in by_var.get(vi, ()):
@@ -62,7 +66,13 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
               if sh not in sc.stub_ids]
     for nid, kind, children in gates:
         child_means = [float(means[ch]) for ch in children]
-        means[nid], weights = _gate(kind, child_means)
+        if kind is NodeKind.OR:
+            means[nid] = math.fsum(child_means)
+            weights = [1.0] * len(children)
+        else:
+            means[nid] = math.prod(child_means)
+            weights = [math.prod(child_means[:i] + child_means[i + 1:])
+                       for i in range(len(children))]
         row = np.zeros(n)
         for ch, w in zip(children, weights):
             row += w * cov[ch, :]

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from test_cpb import random_theory
+from test_cpb import random_labels, random_theory
 from test_semirings import sweep
 
 from betacircuits.betacalc import BetaLabel
@@ -16,8 +16,12 @@ from betacircuits.circuit import (
     format_nnf, parse_condition_file, parse_label_table, parse_nnf,
     set_condition, truth_value, validate)
 from betacircuits.compile import Theory, f_iff, f_not, f_var, shannon_compile
-from betacircuits.examples import BURGLARY_NNF, burglary_circuit, burglary_labels
-from betacircuits.semirings import mm_semiring, prob_semiring, sl_semiring
+from betacircuits.cpb import eval_cov_queries
+from betacircuits.examples import (BUILTIN_MODELS, BURGLARY_NNF,
+                                   burglary_circuit, burglary_labels)
+from betacircuits.semirings import (InconsistentEvidenceError,
+                                    conditioned_eval_queries, mm_semiring,
+                                    prob_semiring, sl_semiring)
 
 
 def full_sweep(c, zero, one, plus, times, leaf_value, zero_literal=0):
@@ -301,6 +305,40 @@ class TestEvaluation:
                 assert exact(joints[q]) == exact(joint)
             checked += 1
         assert checked >= 30
+
+    def test_cpb_mean_is_prob_bit_for_bit(self):
+        # cpb's forward pass is the sweep behind prob: the same sums and
+        # products in file order, so E[X]/E[Y] is prob's conditional to the
+        # bit.  The random DAGs add gates of up to four children, where a
+        # different summation order rounds differently.
+        rng = random.Random(11)
+        cases = []
+        for name in sorted(BUILTIN_MODELS):
+            model = BUILTIN_MODELS[name]()
+            circuit = model.circuit({v: rng.random() < 0.5
+                                     for v in model.random_evidence_vars})
+            queries = model.query_vars + tuple(-q for q in model.query_vars)
+            cases.append((set_condition(circuit, None, model.prob_evidence),
+                          random_labels(rng, model.prob_vars), queries))
+        for _ in range(100):
+            c = parse_nnf(random_nnf(rng))
+            variables = sorted({n.var for n in c.nodes
+                                if n.kind is NodeKind.LITERAL})
+            cases.append((c, random_labels(rng, variables),
+                          [v * rng.choice((1, -1)) for v in variables]))
+        checked = 0
+        for c, labels, queries in cases:
+            try:
+                want = conditioned_eval_queries(c, prob_semiring(), labels,
+                                                queries)
+            except InconsistentEvidenceError:
+                with pytest.raises(InconsistentEvidenceError):
+                    eval_cov_queries(c, queries, labels)
+                continue
+            got = eval_cov_queries(c, queries, labels)
+            assert {q: r.mean for q, r in got.items()} == want
+            checked += 1
+        assert checked > 90
 
     def test_matches_enumeration(self):
         rng = random.Random(11)

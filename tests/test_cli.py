@@ -287,11 +287,46 @@ class TestExperiment:
          "gammas must be one or more values in (0, 1)"),
         ({**FAST_BURGLARY, "gammas": [0.5, 1.0]},
          "gammas must be one or more values in (0, 1)"),
+        # A JSON boolean is a Python int: unchecked, "n_ins": true ran with
+        # 1 observation and "seed": false with seed 0.  And the strings
+        # "false" and "no" read as true for fast and shared_annotations.
+        ({**FAST_BURGLARY, "n_ins": True}, "n_ins must be an integer"),
+        ({**FAST_BURGLARY, "truth_draws": True},
+         "truth_draws must be an integer"),
+        ({**FAST_BURGLARY, "repetitions": True},
+         "repetitions must be an integer"),
+        ({**FAST_BURGLARY, "seed": False}, "seed must be an integer"),
+        ({**FAST_BURGLARY, "golden_samples": False},
+         "golden_samples must be an integer"),
+        ({**FAST_BURGLARY, "fast": "false"}, "fast must be true or false"),
+        ({"model": "smokers", "model_options": {"shared_annotations": "no"},
+          "fast": True, "golden_samples": 0}, "must be a bool"),
+        # Unchecked, these three reached a traceback.
+        ({**FAST_BURGLARY, "backends": [5]}, "unknown backend 5"),
+        ({"circuit_file": 5, "query_vars": [1]},
+         "circuit_file must be a string"),
+        ({"circuit_file": "x.nnf", "query_vars": ["a"]},
+         "query_vars must be integers"),
+        # Unchecked, a repeated query counted its trials twice.
+        ({"circuit_file": "x.nnf", "query_vars": [1, 1]},
+         "query_vars must not repeat a value"),
+        # Configs that did nothing: no backend to score (the golden run
+        # still ran), and options a fixed circuit never reads.
+        ({**FAST_BURGLARY, "backends": []},
+         "backends must name one or more backends"),
+        ({"circuit_file": "x.nnf", "query_vars": [1],
+          "model_options": {"bogus": 1}},
+         "model_options is not accepted with circuit_file"),
     ], ids=["unknown-key", "wrong-type", "wrong-seed-type", "not-a-list",
             "not-an-object", "unknown-model-option", "no-truth-draws",
             "no-repetitions", "negative-golden-samples", "repeated-backend",
             "query-vars-with-model", "no-gammas", "repeated-gamma",
-            "gammas-out-of-range", "gamma-of-1"])
+            "gammas-out-of-range", "gamma-of-1", "bool-n-ins",
+            "bool-truth-draws", "bool-repetitions", "bool-seed",
+            "bool-golden-samples", "string-fast", "string-model-option",
+            "int-backend", "int-circuit-file", "string-query-var",
+            "repeated-query-var", "no-backends",
+            "model-options-with-circuit-file"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, raw, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(raw))

@@ -123,19 +123,19 @@ class TestPasses:
 
     @staticmethod
     def gates_evaluated(monkeypatch, nnf, queries):
-        calls = []
-        gate_of = cpb._gate
+        gates = []
+        sweep_of = cpb.sweep
 
-        def gate(kind, child_means):
-            calls.append(kind)
-            return gate_of(kind, child_means)
+        def sweep(c, values, ids, *args):
+            gates.extend(i for i in ids if c.node(i).children)
+            return sweep_of(c, values, ids, *args)
 
-        monkeypatch.setattr(cpb, "_gate", gate)
+        monkeypatch.setattr(cpb, "sweep", sweep)
         c = parse_nnf(nnf)
         labels = LabelTable({v: BetaLabel(3, 2)
                              for v in range(1, c.var_count + 1)})
         eval_cov_queries(c, queries, labels)
-        return len(calls)
+        return len(gates)
 
     @pytest.mark.parametrize("queries, gates", [
         # Y's 10 gates once, then per query the ancestors of its negated

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import multiprocessing
+import re
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from betacircuits.harness import (DEFAULT_GAMMAS, ExperimentConfig,
 from betacircuits.semirings import InconsistentEvidenceError
 
 METRIC_CSVS = ("rmse.csv", "calibration.csv", "correlation.csv")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def small_config(**overrides):
@@ -69,6 +73,18 @@ class TestConfig:
         assert cfg.n_ins == 10
         assert cfg.backends == ("cpb",)
         assert cfg.gammas == DEFAULT_GAMMAS
+
+    def test_readme_documents_the_config(self):
+        # README's example config parses, and README's prose names every
+        # config field as `name`: a field added or renamed without its docs
+        # fails here.
+        text = README.read_text()
+        examples = re.findall(r"```json\n(.*?)```", text, re.DOTALL)
+        assert len(examples) == 1
+        assert ExperimentConfig.from_json(examples[0]).model == "net1"
+        missing = [f.name for f in fields(ExperimentConfig)
+                   if f"`{f.name}`" not in text]
+        assert missing == []
 
 
 @pytest.fixture(scope="module")
