@@ -3,8 +3,9 @@
 ``betacircuits infer`` answers one conditioned query on an NNF circuit and
 prints ``mean variance alpha_pos alpha_neg``; ``betacircuits experiment``
 runs a full calibration experiment from a JSON config and writes the
-metric CSVs.  Exit codes: 0 success, 2 validation/usage failure or a
-numerical (float underflow/overflow) failure, 3 inconsistent evidence.
+metric CSVs.  Exit codes: 0 success, 2 validation/usage failure, a
+numerical (float underflow/overflow) failure or running out of memory,
+3 inconsistent evidence.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
+    if args.cov and args.backend != "cpb":
+        print("error: --cov applies only to --backend cpb", file=sys.stderr)
+        return EXIT_VALIDATION
     circuit = parse_nnf(Path(args.circuit).read_text())
     report = validate(circuit)
     for w in report.warnings:
@@ -136,6 +140,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Float underflow or overflow, e.g. on circuits too deep for the
         # evaluators' plain float arithmetic.
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # E.g. numpy refusing the arrays of a huge --samples.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

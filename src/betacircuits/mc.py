@@ -7,10 +7,23 @@ conditioned query in the point-probability semiring.  The sample mean and
 variance then estimate the query's posterior mean and epistemic variance.
 
 ``mc_eval_queries`` answers several queries on one evidence circuit from
-one shared draw (common random numbers): per batch it samples every leaf
-once and makes one ``circuit.eval_queries`` call on arrays, which runs one
-evidence sweep and recomputes only each query's negated-leaf ancestors.
-``mc_eval`` is the one-query case.
+one shared draw (common random numbers): per batch it makes one
+``circuit.eval_queries`` call on arrays, which runs one evidence sweep and
+recomputes only each query's negated-leaf ancestors.  ``mc_eval`` is the
+one-query case.
+
+The draw stream is fixed: per batch, one ``rng.beta(alpha, beta,
+size=batch)`` (a constant array for a certain label) for every labelled
+variable with a leaf anywhere in the circuit, in ascending id.  The draws
+are made as the evidence sweep reads them.  Its first read of a
+variable's leaves draws that variable and every earlier one not drawn
+yet; a draw is dropped after the sweep's last read of it, at once if the
+sweep never reads it; the variables past the last read are drawn after
+the sweep, so the next batch starts where it would have.  Besides the
+sweep's own node values, a batch thus holds the draws of the variables
+read ahead of the sweep, not of all variables: few on a circuit that
+lists its leaves in ascending variable order, nearly all on one that
+lists them descending, as ``shannon_compile``'s output does.
 
 numpy is imported on the first call, not with the module, so that
 importing the package (and the CLI's other backends) does not load it.
@@ -22,7 +35,7 @@ draws the evidence is reported as almost surely inconsistent.
 
 from __future__ import annotations
 
-import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -70,6 +83,10 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
            else np.random.default_rng(seed))
     circuit_vars = sorted({n.var for n in c.nodes
                            if n.kind is NodeKind.LITERAL and n.var in labels})
+    # Leaf nodes the evidence sweep reads, per labelled variable.
+    swept = (c.nodes[i] for i in c.schedule(queries).order)
+    reads = Counter(n.var for n in swept if n.kind is NodeKind.LITERAL
+                    and n.lam != 0 and n.var in labels)
 
     accepted: dict[int, list[np.ndarray]] = {q: [] for q in queries}
     n_acc = 0
@@ -77,25 +94,48 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     total = 0
     while n_acc < n_samples:
         batch = n_samples - n_acc
-        leaf_probs = {}
-        for v in circuit_vars:
-            label = labels.label_of(v)
-            if label.certain is None:
-                leaf_probs[v] = rng.beta(label.alpha_pos, label.alpha_neg,
-                                         size=batch)
-            else:
-                leaf_probs[v] = np.full(batch, 1.0 if label.certain else 0.0)
+        undrawn = iter(circuit_vars)
+        unread = reads.copy()
+        held: dict[int, np.ndarray] = {}
+        zeros = np.zeros(batch)
         ones = np.ones(batch)
 
+        def draw(v: int) -> np.ndarray:
+            label = labels.label_of(v)
+            if label.certain is None:
+                return rng.beta(label.alpha_pos, label.alpha_neg, size=batch)
+            return np.full(batch, 1.0 if label.certain else 0.0)
+
         def leaf(lit: int) -> np.ndarray:
-            if abs(lit) not in leaf_probs:
+            v = abs(lit)
+            if v not in reads:
                 # Derived (unlabelled) atom: weight 1 for both polarities.
                 return ones
-            p = leaf_probs[abs(lit)]
+            if v not in held:
+                # Draw every variable up to v not drawn yet, in variable
+                # order; hold those the sweep has still to read.
+                for u in undrawn:
+                    p = draw(u)
+                    if unread[u]:
+                        held[u] = p
+                    if u == v:
+                        break
+            unread[v] -= 1
+            p = held[v] if unread[v] else held.pop(v)
             return p if lit > 0 else 1.0 - p
 
-        ev, joints = eval_queries(c, queries, np.zeros(batch), ones,
-                                  operator.add, operator.mul, leaf)
+        # Every value is finite and >= +0, so these shortcuts are exact.
+        def plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return b if a is zeros else a if b is zeros else a + b
+
+        def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            if a is zeros or b is zeros:
+                return zeros
+            return b if a is ones else a if b is ones else a * b
+
+        ev, joints = eval_queries(c, queries, zeros, ones, plus, times, leaf)
+        for u in undrawn:
+            draw(u)  # never read, but drawn so the stream stays in step
         ok = ev > 0.0
         n_ok = int(ok.sum())
         rejections += batch - n_ok

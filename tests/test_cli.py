@@ -139,6 +139,27 @@ class TestInfer:
             assert (rc, out) == (2, "")
             assert err.startswith("error: leaf covariance line 2:")
 
+    @pytest.mark.parametrize("backend", ["prob", "sl", "mm", "mc"])
+    def test_cov_needs_cpb(self, burglary_files, tmp_path, capsys, backend):
+        circuit, labels = burglary_files
+        cov = tmp_path / "leaf.cov"
+        cov.write_text("1 2 0.001\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "1",
+                           "--backend", backend, "--cov", cov)
+        assert (rc, out) == (2, "")
+        assert err == "error: --cov applies only to --backend cpb\n"
+
+    def test_out_of_memory_exit_code(self, burglary_files, capsys):
+        # 10^15 samples need 7.1 PiB per array, past a process's address
+        # space, so numpy refuses the first one without allocating it.
+        circuit, labels = burglary_files
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "1",
+                           "--backend", "mc", "--samples", 10 ** 15)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: out of memory: Unable to allocate")
+
     def test_arithmetic_error_is_a_numerical_failure(self, burglary_files,
                                                       monkeypatch, capsys):
         def underflow(*args, **kwargs):

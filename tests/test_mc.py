@@ -15,7 +15,8 @@ from betacircuits.compile import shannon_compile
 from betacircuits.examples import (burglary_circuit, burglary_labels,
                                    net1_model, point_labels, smokers_model)
 from betacircuits.learn import fit_complete, sample_observations
-from betacircuits.mc import mc_eval, mc_eval_queries, mc_strength
+from betacircuits.mc import (MAX_REJECTION_RATE, mc_eval, mc_eval_queries,
+                             mc_strength)
 from betacircuits.semirings import InconsistentEvidenceError
 
 
@@ -119,6 +120,40 @@ def full_sweep(c, leaf_probs, size, zero_literal=0):
     return values[c.root]
 
 
+def reference_mc(c, queries, labels, n_samples, seed):
+    """``mc_eval_queries``' samples and rejections, drawn up front.
+
+    Each batch draws one array per labelled variable with a leaf in ``c``,
+    in ascending variable order (a constant one for a certain label),
+    before it evaluates anything, and then runs ``full_sweep``.
+    """
+    rng = np.random.default_rng(seed)
+    variables = sorted({n.var for n in c.nodes
+                        if n.kind is NodeKind.LITERAL and n.var in labels})
+    accepted = {q: [] for q in queries}
+    n_acc = rejections = total = 0
+    while n_acc < n_samples:
+        batch = n_samples - n_acc
+        probs = {}
+        for v in variables:
+            label = labels.label_of(v)
+            probs[v] = (rng.beta(label.alpha_pos, label.alpha_neg, size=batch)
+                        if label.certain is None
+                        else np.full(batch, float(label.certain)))
+        ev = full_sweep(c, probs, batch)
+        ok = ev > 0.0
+        for q in queries:
+            accepted[q].append(full_sweep(c, probs, batch, -q)[ok] / ev[ok])
+        n_acc += int(ok.sum())
+        rejections += batch - int(ok.sum())
+        total += batch
+        if (total >= max(100, 2 * n_samples)
+                and rejections / total > MAX_REJECTION_RATE):
+            raise InconsistentEvidenceError("rejected")
+    return ({q: np.concatenate(accepted[q])[:n_samples] for q in queries},
+            rejections)
+
+
 class TestSharedDraw:
     """``mc_eval_queries``: one draw and one evidence sweep for all queries."""
 
@@ -142,8 +177,7 @@ class TestSharedDraw:
 
     def test_ancestor_sweep_matches_full_sweep(self):
         # Each query's samples are its full-sweep joint over the full-sweep
-        # evidence probability, bit for bit, on the draws mc_eval_queries
-        # makes: one beta per labelled variable, in variable order.
+        # evidence probability, bit for bit, on the reference's draws.
         rng = random.Random(10)
         checked = 0
         for seed in range(20):
@@ -159,19 +193,35 @@ class TestSharedDraw:
             # Leave one variable unlabelled: a derived atom of weight 1.
             labels = LabelTable({v: BetaLabel(2.0, 3.0)
                                  for v in variables[1:]})
-            nrng = np.random.default_rng(seed)
-            probs = {v: nrng.beta(2.0, 3.0, size=64) for v in variables[1:]}
-            ev = full_sweep(c, probs, 64)
-            if not (ev > 0.0).all():
-                continue
             queries = [v * rng.choice((1, -1)) for v in variables]
+            try:
+                want, rejections = reference_mc(c, queries, labels, 64, seed)
+            except InconsistentEvidenceError:
+                continue
             got = mc_eval_queries(c, queries, labels, 64, seed=seed)
             for q in queries:
-                want = full_sweep(c, probs, 64, -q) / ev
-                assert got[q].samples.tobytes() == want.tobytes()
-                assert got[q].rejections == 0
+                assert got[q].samples.tobytes() == want[q].tobytes()
+                assert got[q].rejections == rejections
             checked += 1
         assert checked >= 15
+
+    def test_draw_stream_holds_across_rejection_batches(self):
+        # Variable 2's only leaf is conditioned out, the leaves of 3 and 6
+        # do not reach the root, and literal 1 sits on two leaf nodes.
+        # A quarter of Beta(0.02, 0.02) draws are exactly 1.0, which zeroes
+        # the negated leaf, so some samples' evidence probability is 0.0.
+        c = parse_nnf("nnf 13 10 6\n"
+                      "L 1\nL -4\nL -1\nL -5\nL 1\nL 4\nL -2\nL 3\nL 6\n"
+                      "A 2 0 1\nA 2 2 3\nA 3 4 5 6\nO 0 3 9 10 11\n")
+        c = set_condition(c, None, [(2, True)])
+        labels = LabelTable({v: BetaLabel(0.02, 0.02) for v in range(1, 7)})
+        queries = (1, -4, 5)
+        want, rejections = reference_mc(c, queries, labels, 200, seed=3)
+        assert rejections > 0
+        got = mc_eval_queries(c, queries, labels, 200, seed=3)
+        for q in queries:
+            assert got[q].samples.tobytes() == want[q].tobytes()
+            assert got[q].rejections == rejections
 
     def test_smokers_golden_call_memory(self):
         # Every array is dropped after its last reader.  Two full sweeps
@@ -186,6 +236,21 @@ class TestSharedDraw:
         finally:
             tracemalloc.stop()
         assert peak <= 10e6
+
+    def test_block_circuit_memory(self, make_block_nnf):
+        # Block circuits list their leaves in ascending variable order, so
+        # each variable's draw is held only across its own block.  Drawn
+        # up front, the 900 draws alone take 14.4 MB.
+        c = set_condition(parse_nnf(make_block_nnf(300)), query=1,
+                          evidence=[(900, True)])
+        labels = LabelTable({v: BetaLabel(2.0, 3.0) for v in range(1, 901)})
+        tracemalloc.start()
+        try:
+            mc_eval(c, labels, 2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_argument_errors(self):
         with pytest.raises(ValueError, match="no queries"):
