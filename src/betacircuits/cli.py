@@ -48,9 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evidence/query file (evidence <v> <0|1>, query <v>)")
     infer.add_argument("--backend", required=True,
                        choices=("prob", "sl", "mm", "cpb", "mc"))
-    infer.add_argument("--samples", type=int, default=10000, metavar="K",
-                       help="Monte Carlo sample count (default 10000)")
-    infer.add_argument("--seed", type=int, default=0, metavar="S")
+    infer.add_argument("--samples", type=int, metavar="K",
+                       help="Monte Carlo sample count (mc backend only; "
+                       "default 10000)")
+    infer.add_argument("--seed", type=int, metavar="S",
+                       help="Monte Carlo seed (mc backend only; default 0)")
 
     exp = sub.add_parser("experiment", help="run a calibration experiment")
     exp.add_argument("--config", required=True, metavar="F",
@@ -63,6 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_infer(args: argparse.Namespace) -> int:
     if args.cov and args.backend != "cpb":
         print("error: --cov applies only to --backend cpb", file=sys.stderr)
+        return EXIT_VALIDATION
+    if (args.samples, args.seed) != (None, None) and args.backend != "mc":
+        print("error: --samples and --seed apply only to --backend mc",
+              file=sys.stderr)
         return EXIT_VALIDATION
     circuit = parse_nnf(Path(args.circuit).read_text())
     report = validate(circuit)
@@ -94,7 +100,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         label = res.matched
         mean, var = res.mean, res.variance
     elif args.backend == "mc":
-        res = mc_eval(staged, labels, args.samples, seed=args.seed)
+        res = mc_eval(staged, labels,
+                      10000 if args.samples is None else args.samples,
+                      seed=0 if args.seed is None else args.seed)
         mean, var = res.mean, res.variance
         label = betacalc.moment_match(Moments(mean, var))
     else:
@@ -115,8 +123,7 @@ def _alpha(label: BetaLabel, positive: bool) -> str:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # Imported here so that ``infer`` does not pay for loading numpy and
-    # scipy.special.
+    # Imported here so that ``infer`` does not pay for loading numpy.
     from .harness import ExperimentConfig, run_experiment
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     report = run_experiment(cfg)

@@ -482,3 +482,72 @@ class TestCoverage:
                               np.array([1.0]))
         k = DEFAULT_GAMMAS.index(0.7)
         assert ppf[k, 0] and not cdf[k, 0]
+
+    def test_beta_cdf_matches_scipy(self):
+        from betacircuits.betacalc import MAX_STRENGTH
+        from scipy.special import betainc, betaln
+        from scipy.stats import beta
+
+        rng = np.random.default_rng(20)
+        n = 1000
+        # Parameters log-uniform over the harness's range, labels saturated
+        # at MAX_STRENGTH, and skewed pairs (one side <= 10, or up to 1e4
+        # or 1e6, the other >= 1e9), in both orders.
+        m = rng.uniform(0.01, 0.99, n // 4)
+        small = 10.0 ** np.concatenate([rng.uniform(-3.0, 1.0, n // 2),
+                                        rng.uniform(1.0, 4.0, n // 2),
+                                        rng.uniform(4.0, 6.0, n // 2)])
+        large = 10.0 ** rng.uniform(9.0, 12.0, len(small))
+        flip = rng.random(len(small)) < 0.5
+        alpha = np.concatenate([10.0 ** rng.uniform(-3.0, 12.0, n),
+                                m * MAX_STRENGTH,
+                                np.where(flip, small, large)])
+        beta_ = np.concatenate([10.0 ** rng.uniform(-3.0, 12.0, n),
+                                (1.0 - m) * MAX_STRENGTH,
+                                np.where(flip, large, small)])
+        k = len(alpha)
+        alpha, beta_ = np.tile(alpha, 3), np.tile(beta_, 3)
+        # Truths near each label's mass, spread over [0, 1], and exactly
+        # 0 and 1.
+        truth = np.concatenate([beta.rvs(alpha[:k], beta_[:k],
+                                         random_state=rng),
+                                rng.uniform(0.0, 1.0, k),
+                                rng.integers(0, 2, k).astype(float)])
+        cdf = harness._beta_cdf(alpha, beta_, truth)
+        expected = betainc(alpha, beta_, truth)
+        # scipy's betainc loses digits at subnormal x: 5e-10 at x = 1.3e-318,
+        # alpha = 0.0015, beta = 0.0072 against 50-digit mpmath.  There
+        # I_x(a, b) is the series' first term x^a / (a B(a, b)) to O(x).
+        tiny = (truth > 0.0) & (truth < 1e-300)
+        assert np.count_nonzero(tiny)
+        expected[tiny] = np.exp(alpha[tiny] * np.log(truth[tiny])
+                                - np.log(alpha[tiny])
+                                - betaln(alpha[tiny], beta_[tiny]))
+        np.testing.assert_allclose(cdf, expected, rtol=0.0, atol=1e-10)
+        assert np.all(cdf[truth == 0.0] == 0.0)
+        assert np.all(cdf[truth == 1.0] == 1.0)
+        # A call with few records runs them one by one in Python floats.
+        one_by_one = [harness._beta_cdf(alpha[i:i + 1], beta_[i:i + 1],
+                                        truth[i:i + 1])[0]
+                      for i in range(3 * k)]
+        np.testing.assert_allclose(one_by_one, cdf, rtol=0.0, atol=1e-13)
+        # Both parameters large, near the mean: quadrature, not thousands
+        # of continued-fraction terms.
+        alpha = 10.0 ** rng.uniform(11.0, 12.0, 2000)
+        beta_ = 10.0 ** rng.uniform(11.0, 12.0, 2000)
+        s = alpha + beta_
+        truth = (alpha / s + rng.normal(size=2000)
+                 * np.sqrt(alpha * beta_ / (s * s * (s + 1.0))))
+        t0 = time.perf_counter()
+        cdf = harness._beta_cdf(alpha, beta_, truth)
+        assert time.perf_counter() - t0 < 0.5
+        np.testing.assert_allclose(cdf, betainc(alpha, beta_, truth),
+                                   rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 100])
+    def test_beta_cdf_raises_unconverged(self, monkeypatch, n):
+        # A cap on the terms, not an unconverged value.
+        monkeypatch.setattr(harness, "_CDF_MAX_TERMS", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            harness._beta_cdf(np.full(n, 50.0), np.full(n, 80.0),
+                              np.full(n, 0.4))
