@@ -26,9 +26,8 @@ from typing import Mapping, Optional
 
 from .betacalc import BetaLabel
 from .circuit import Circuit, LabelTable, parse_nnf
-from .compile import (BayesNetSpec, BNLegend, BNNode, Theory, bn_compile_order,
-                      encode_bn, f_and, f_not, f_or, f_var, f_iff,
-                      shannon_compile)
+from .compile import (BayesNetSpec, BNNode, Theory, bn_compile_order,
+                      encode_bn, f_and, f_or, f_var, f_iff, shannon_compile)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betacircuits import examples, harness
+from betacircuits import betadist, examples, harness
 from betacircuits.examples import BUILTIN_MODELS
 from betacircuits.harness import (DEFAULT_GAMMAS, ExperimentConfig,
                                   run_experiment)
@@ -169,6 +169,25 @@ class TestRun:
         report = run_experiment(cfg)
         m = report.backends["cpb"]
         assert m.trials + m.failures == 30
+
+    def test_mm_records_the_mean_infer_prints(self, monkeypatch):
+        # mm's mean is the propagated E[X], as ``infer`` prints it, not its
+        # moment-matched label's a / (a + b), which can round one ulp off.
+        # The propagation follows prob's sweep, so it equals cpb's mean.
+        captured = {}
+        aggregate = harness._aggregate
+
+        def capture(name, recs, fails, gammas):
+            captured[name] = recs
+            return aggregate(name, recs, fails, gammas)
+
+        monkeypatch.setattr(harness, "_aggregate", capture)
+        run_experiment(ExperimentConfig(model="smokers", fast=True, seed=1,
+                                        backends=("cpb", "mm"),
+                                        golden_samples=0))
+        cpb, mm = captured["cpb"], captured["mm"]
+        assert len(cpb) == len(mm) == 30 * 5 * 7
+        assert [r.mean for r in mm] == [r.mean for r in cpb]
 
     def test_arithmetic_error_counts_as_failed_trial(self, monkeypatch):
         fail_some_label_sets(monkeypatch)
@@ -432,11 +451,11 @@ class TestCoverage:
         lo = beta.ppf((1.0 - g) / 2.0, alpha, beta_)
         hi = beta.ppf((1.0 + g) / 2.0, alpha, beta_)
         ppf = (lo <= truth) & (truth <= hi)
-        cdf = np.array([[harness._coverage(
+        per_record = [harness._coverage(
             [harness.TrialRecord(t, a / (a + b), 0.0, a, b, a + b, 0.0)],
-            DEFAULT_GAMMAS)[gamma] == 1.0
-            for a, b, t in zip(alpha, beta_, truth)]
-            for gamma in DEFAULT_GAMMAS])
+            DEFAULT_GAMMAS) for a, b, t in zip(alpha, beta_, truth)]
+        cdf = np.array([[c[gamma] == 1.0 for c in per_record]
+                        for gamma in DEFAULT_GAMMAS])
         return ppf, cdf
 
     def test_cdf_form_matches_ppf_interval_for_alphas_from_one(self):
@@ -513,7 +532,7 @@ class TestCoverage:
                                          random_state=rng),
                                 rng.uniform(0.0, 1.0, k),
                                 rng.integers(0, 2, k).astype(float)])
-        cdf = harness._beta_cdf(alpha, beta_, truth)
+        cdf = betadist.beta_cdf(alpha, beta_, truth)
         expected = betainc(alpha, beta_, truth)
         # scipy's betainc loses digits at subnormal x: 5e-10 at x = 1.3e-318,
         # alpha = 0.0015, beta = 0.0072 against 50-digit mpmath.  There
@@ -526,11 +545,14 @@ class TestCoverage:
         np.testing.assert_allclose(cdf, expected, rtol=0.0, atol=1e-10)
         assert np.all(cdf[truth == 0.0] == 0.0)
         assert np.all(cdf[truth == 1.0] == 1.0)
-        # A call with few records runs them one by one in Python floats.
-        one_by_one = [harness._beta_cdf(alpha[i:i + 1], beta_[i:i + 1],
-                                        truth[i:i + 1])[0]
-                      for i in range(3 * k)]
-        np.testing.assert_allclose(one_by_one, cdf, rtol=0.0, atol=1e-13)
+        # Each record's value does not depend on the rest of its batch:
+        # slices of 1, 2, 3, ... records in turn agree with the whole.
+        cuts = np.cumsum(np.arange(1, 3 * k))
+        cuts = np.concatenate([[0], cuts[cuts < 3 * k], [3 * k]])
+        sliced = np.concatenate([
+            betadist.beta_cdf(alpha[i:j], beta_[i:j], truth[i:j])
+            for i, j in zip(cuts[:-1], cuts[1:])])
+        np.testing.assert_allclose(sliced, cdf, rtol=0.0, atol=1e-13)
         # Both parameters large, near the mean: quadrature, not thousands
         # of continued-fraction terms.
         alpha = 10.0 ** rng.uniform(11.0, 12.0, 2000)
@@ -539,7 +561,7 @@ class TestCoverage:
         truth = (alpha / s + rng.normal(size=2000)
                  * np.sqrt(alpha * beta_ / (s * s * (s + 1.0))))
         t0 = time.perf_counter()
-        cdf = harness._beta_cdf(alpha, beta_, truth)
+        cdf = betadist.beta_cdf(alpha, beta_, truth)
         assert time.perf_counter() - t0 < 0.5
         np.testing.assert_allclose(cdf, betainc(alpha, beta_, truth),
                                    rtol=0.0, atol=1e-10)
@@ -547,7 +569,7 @@ class TestCoverage:
     @pytest.mark.parametrize("n", [1, 100])
     def test_beta_cdf_raises_unconverged(self, monkeypatch, n):
         # A cap on the terms, not an unconverged value.
-        monkeypatch.setattr(harness, "_CDF_MAX_TERMS", 2)
+        monkeypatch.setattr(betadist, "_CDF_MAX_TERMS", 2)
         with pytest.raises(ArithmeticError, match="did not converge"):
-            harness._beta_cdf(np.full(n, 50.0), np.full(n, 80.0),
+            betadist.beta_cdf(np.full(n, 50.0), np.full(n, 80.0),
                               np.full(n, 0.4))
