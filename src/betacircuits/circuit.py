@@ -17,12 +17,15 @@ on a leaf makes it contribute the additive identity, which removes every
 model containing that literal from the count -- this is how evidence and
 query conditioning are pushed into the circuit without rebuilding it.
 
-``sweep`` is that fold, the library's only bottom-up evaluator.
-``eval_queries`` runs it for every value domain (point probabilities,
-opinions, moment pairs, Monte Carlo sample arrays): one evidence sweep,
-and per query a joint sweep that recomputes only the ancestors of the
-negated-query leaves.  cpb's forward pass runs it on float means, and
-``validate`` on truth-table bitsets.
+``_Schedule.run`` is that fold, the library's only bottom-up evaluator.
+It runs one lockstep pass: the evidence sweep and, per query, a joint
+sweep that recomputes only the ancestors of the negated-query leaves
+advance together, node by node.  Each gate folds its children one at a
+time, as soon as each is ready, and each value is dropped after its last
+fold, so a wide gate never holds all its children.  ``eval_queries`` runs
+the pass for every value domain (point probabilities, opinions, moment
+pairs, Monte Carlo sample arrays); cpb's forward pass runs it on float
+means and ``validate`` on truth-table bitsets, both keeping every value.
 
 File format (c2d-style NNF text):
 
@@ -113,7 +116,7 @@ class Circuit:
         return self._scopes
 
     def schedule(self, queries: tuple[int, ...]) -> _Schedule:
-        """The sweep schedule of ``queries`` (literals), cached per tuple."""
+        """The lockstep pass of ``queries`` (literals), cached per tuple."""
         plan = self._schedules.get(queries)
         if plan is None:
             plan = self._schedules[queries] = _Schedule.build(self, queries)
@@ -241,16 +244,17 @@ class ValidationReport:
 
 
 def _truth_tables(c: Circuit, columns: Mapping[int, int], full: int) -> list[int]:
-    """Every node's truth table as a bitset, by one ``sweep`` over all nodes.
+    """Every node's truth table as a bitset, by one pass that keeps them all.
 
     Bit r of a table is the node's value on row r.  ``columns[v]`` is the
     table of variable v and ``full`` has every row's bit set; a variable
     missing from ``columns`` makes its literal leaves raise KeyError.  The
-    sweep reads a leaf with lambda = 0 as FALSE, so ``c`` is unconditioned.
+    pass reads a leaf with lambda = 0 as FALSE, so ``c`` is unconditioned.
     """
-    return sweep(c, [None] * len(c), range(len(c)), {}, 0, full,
-                 operator.or_, operator.and_,
-                 lambda lit: columns[lit] if lit > 0 else full ^ columns[-lit])
+    plan = _Schedule.build(c, (), range(len(c)))
+    return plan.run(0, full, operator.or_, operator.and_,
+                    lambda lit: columns[lit] if lit > 0
+                    else full ^ columns[-lit])
 
 
 def truth_value(c: Circuit, assignment: Mapping[int, bool]) -> bool:
@@ -268,7 +272,7 @@ def validate(c: Circuit, max_check_vars: int = 16) -> ValidationReport:
 
     Determinism is checked exactly iff ``c.var_count <= max_check_vars``,
     otherwise the circuit is trusted and a warning is recorded.  The check
-    is one ``sweep`` that builds every node's truth table over all 2^V rows
+    is one pass that builds every node's truth table over all 2^V rows
     of its V leaf variables (n * 2^V bits of memory); an OR node is
     reported at the lowest row, restricted to its scope, where two children
     hold.  Only unconditioned circuits come here (every lambda is 1):
@@ -488,37 +492,60 @@ def parse_condition_file(text: str) -> tuple[Optional[int], list[tuple[int, bool
 # Generic semiring evaluation
 # ---------------------------------------------------------------------
 
+# Step codes of a pass.  (_LEAF, slot, literal) stores ``leaf(literal)``,
+# _ZERO and _ONE store a constant, (_COPY, slot, child) starts a gate's
+# fold with its first child, _TIMES and _PLUS fold in the next child and
+# (_DROP, slot, 0) forgets a value that no later step reads.
+_TIMES, _PLUS, _COPY, _DROP, _LEAF, _ZERO, _ONE = range(7)
+
+
 @dataclass(frozen=True)
 class _Schedule:
-    """Node schedule of one evidence sweep and the per-query joint sweeps.
+    """One lockstep pass: the evidence sweep and every query's joint sweep.
 
     ``order`` lists the nodes that reach the root, in id order (children
-    first).  A query's ``joint`` entry holds the nodes it recomputes (its
+    first).  ``joint[q]`` maps each node that query q recomputes (its
     negated-query leaves with lambda = 1 that reach the root, and their
-    ancestors, in id order) and their release schedule.  A release
-    schedule maps a node to the children whose values die once it has
-    read them.  It holds node ids only, no reference to its circuit.
+    ancestors, in id order) to the slot of its joint value; slot i holds
+    node i's evidence value, which every other node of the joint sweep
+    reads.  ``steps`` reads the leaves of ``order`` once each, in id order
+    (Monte Carlo draws each variable at its first read), and folds each
+    gate of each sweep into its slot in file order, one child per step:
+    the step that folds child k runs as soon as that child's value and the
+    fold of child k - 1 are both done.  A value is dropped after its last
+    fold in any sweep; the roots are kept.  ``size`` counts the slots.
+    The schedule holds slot numbers only, no reference to its circuit, so
+    a circuit and the schedules cached on it are freed without the cycle
+    collector.
     """
 
     order: list[int]
-    release: dict[int, list[int]]
-    joint: dict[int, tuple[list[int], dict[int, list[int]]]]
+    joint: dict[int, dict[int, int]]
+    steps: list[tuple[int, int, int]]
+    size: int
 
     @classmethod
-    def build(cls, c: Circuit, queries: tuple[int, ...]) -> "_Schedule":
+    def build(cls, c: Circuit, queries: tuple[int, ...],
+              tops: Optional[Iterable[int]] = None) -> "_Schedule":
+        """The pass of ``queries``; ``tops`` replaces the root.
+
+        ``tops`` (default: the root alone) are the nodes whose values the
+        pass keeps; it evaluates every node that reaches one of them.
+        """
         nodes = c.nodes
-        # Parents that reach the root, last reader first.
+        tops = [c.root] if tops is None else list(tops)
         parents: list[list[int]] = [[] for _ in nodes]
         reach = [False] * len(nodes)
-        reach[c.root] = True
+        for t in tops:
+            reach[t] = True
         for n in reversed(nodes):
             if reach[n.id]:
                 for ch in n.children:
                     reach[ch] = True
                     parents[ch].append(n.id)
         order = [i for i in range(len(nodes)) if reach[i]]
-        keep = {c.root}
-        joint = {}
+        joint: dict[int, dict[int, int]] = {}
+        size = len(nodes)
         for q in queries:
             dirty = {i for i in order
                      if nodes[i].literal == -q and nodes[i].lam != 0}
@@ -528,68 +555,105 @@ class _Schedule:
                     if p not in dirty:
                         dirty.add(p)
                         stack.append(p)
-            release: dict[int, list[int]] = {}
-            for i in dirty:
-                keep.update(ch for ch in nodes[i].children if ch not in dirty)
-                if parents[i]:
-                    release.setdefault(parents[i][0], []).append(i)
-            joint[q] = (sorted(dirty), release)
-        release = {}
+            joint[q] = {i: size + k for k, i in enumerate(sorted(dirty))}
+            size += len(dirty)
+
+        # Every gate of every sweep: its slot, fold step and child slots.
+        gates = [(i, _TIMES if nodes[i].kind is NodeKind.AND else _PLUS,
+                  nodes[i].children) for i in order if nodes[i].children]
+        folds = gates.copy()
+        for slots in joint.values():
+            folds += [(slots[i], op, tuple(slots.get(ch, ch) for ch in kids))
+                      for i, op, kids in gates if i in slots]
+        reads = [0] * size
+        waiting: dict[int, list[int]] = {}
+        for f, (_, _, kids) in enumerate(folds):
+            for ch in kids:
+                reads[ch] += 1
+            waiting.setdefault(kids[0], []).append(f)
+        keep = set(tops)
+        keep.update(slots[c.root] for slots in joint.values()
+                    if c.root in slots)
+
+        steps: list[tuple[int, int, int]] = []
+        ready = [False] * size
+        done = [0] * len(folds)  # children folded so far, per fold
         for i in order:
-            if i not in keep:
-                release.setdefault(parents[i][0], []).append(i)
-        return cls(order, release, joint)
+            n = nodes[i]
+            if n.children:
+                continue
+            if n.kind is NodeKind.LITERAL and n.lam != 0:
+                steps.append((_LEAF, i, n.literal))
+            else:
+                steps.append((_ONE if n.kind is NodeKind.TRUE else _ZERO,
+                              i, 0))
+            stack = [i]
+            for slots in joint.values():
+                if i in slots:
+                    steps.append((_ZERO, slots[i], 0))
+                    stack.append(slots[i])
+            while stack:
+                s = stack.pop()
+                ready[s] = True
+                for f in waiting.pop(s, ()):
+                    slot, op, kids = folds[f]
+                    k = done[f]
+                    while k < len(kids) and ready[kids[k]]:
+                        ch = kids[k]
+                        steps.append((op if k else _COPY, slot, ch))
+                        reads[ch] -= 1
+                        if not reads[ch] and ch not in keep:
+                            steps.append((_DROP, ch, 0))
+                        k += 1
+                    done[f] = k
+                    if k == len(kids):
+                        stack.append(slot)
+                    else:
+                        waiting.setdefault(kids[k], []).append(f)
+        return cls(order, joint, steps, size)
 
+    def run(self, zero, one, plus: Callable, times: Callable,
+            leaf: Callable[[int], object], drop: bool = True) -> list:
+        """Every slot's value after the pass (None once dropped).
 
-def sweep(c: Circuit, values: list, ids: Iterable[int],
-          release: Mapping[int, Sequence[int]], zero, one, plus: Callable,
-          times: Callable, leaf: Callable[[int], object]) -> list:
-    """Evaluate the nodes ``ids`` of ``c`` bottom-up into ``values``.
-
-    ``ids`` must list children before parents; every other node is read
-    from ``values`` as given.  A literal leaf gets ``zero`` when its lambda
-    is 0 and ``leaf(lit)`` otherwise, TRUE gets ``one`` and FALSE ``zero``.
-    An AND folds its children with ``times`` and an OR with ``plus``, in
-    file order (the opinion and moment calculi depend on it).  After node
-    i is evaluated, the children ``release[i]`` are set to None.
-    """
-    nodes = c.nodes
-    for i in ids:
-        n = nodes[i]
-        if n.kind is NodeKind.LITERAL:
-            values[i] = zero if n.lam == 0 else leaf(n.literal)
-        elif n.kind is NodeKind.TRUE:
-            values[i] = one
-        elif n.kind is NodeKind.FALSE:
-            values[i] = zero
-        else:
-            op = times if n.kind is NodeKind.AND else plus
-            acc = values[n.children[0]]
-            for ch in n.children[1:]:
-                acc = op(acc, values[ch])
-            values[i] = acc
-        for ch in release.get(i, ()):
-            values[ch] = None
-    return values
+        A literal leaf with lambda = 1 gets ``leaf(lit)``, any other leaf
+        and TRUE or FALSE their constant, ``zero`` or ``one``.  An AND folds
+        its children with ``times`` and an OR with ``plus``, in file order
+        (the opinion and moment calculi depend on it).  ``drop=False``
+        keeps every value.
+        """
+        values: list = [None] * self.size
+        for op, slot, arg in self.steps:
+            if op == _TIMES:
+                values[slot] = times(values[slot], values[arg])
+            elif op == _PLUS:
+                values[slot] = plus(values[slot], values[arg])
+            elif op == _COPY:
+                values[slot] = values[arg]
+            elif op == _DROP:
+                if drop:
+                    values[slot] = None
+            elif op == _LEAF:
+                values[slot] = leaf(arg)
+            else:
+                values[slot] = zero if op == _ZERO else one
+        return values
 
 
 def eval_queries(c: Circuit, queries: Iterable[int], zero, one,
                  plus: Callable, times: Callable,
                  leaf_value: Callable[[int], object]):
-    """``(evidence_root, {query: joint_root})`` by bottom-up semiring sweeps.
+    """``(evidence_root, {query: joint_root})`` by one lockstep pass.
 
     The evidence sweep gives a leaf with lambda = 0 ``zero`` and any other
     literal leaf ``leaf_value(lit)``.  A query's joint sweep also gives the
     leaves of its negation ``zero``; it recomputes only their ancestors and
     reads every other node's evidence value, so each root equals that of
     a full sweep.  Only nodes that reach the root are evaluated, and each
-    value is dropped after its last reader.  ``queries`` are literals, not
+    value is dropped after its last fold.  ``queries`` are literals, not
     checked against ``c``; their schedule is cached on ``c``.
     """
     plan = c.schedule(tuple(queries))
-    ev = sweep(c, [None] * len(c), plan.order, plan.release, zero, one,
-               plus, times, leaf_value)
-    joints = {q: sweep(c, ev.copy(), ids, release, zero, one, plus, times,
-                       lambda lit: zero)[c.root]
-              for q, (ids, release) in plan.joint.items()}
-    return ev[c.root], joints
+    values = plan.run(zero, one, plus, times, leaf_value)
+    return values[c.root], {q: values[slots.get(c.root, c.root)]
+                            for q, slots in plan.joint.items()}

@@ -140,19 +140,33 @@ def vars_of(f: Formula) -> frozenset[int]:
     return frozenset(out)
 
 
-def substitute(f: Formula, var: int, value: bool) -> Formula:
-    """Assign one variable and re-canonicalize."""
+def substitute(f: Formula, var: int, value: bool,
+               memo: Optional[dict] = None) -> Formula:
+    """Assign one variable and re-canonicalize.
+
+    Only the parts of ``f`` in which ``var`` occurs are rebuilt; when it
+    does not occur, ``f`` itself is returned.  ``memo``, if given, keeps
+    each compound part's result by (part, var, value) across calls.
+    """
     if isinstance(f, bool):
         return f
-    tag = f[0]
-    if tag == "var":
+    if f[0] == "var":
         return value if f[1] == var else f
-    if tag == "not":
-        return f_not(substitute(f[1], var, value))
-    if tag == "iff":
-        return f_iff(substitute(f[1], var, value), substitute(f[2], var, value))
-    parts = [substitute(p, var, value) for p in f[1]]
-    return f_and(*parts) if tag == "and" else f_or(*parts)
+    key = (f, var, value)
+    if memo is not None and key in memo:
+        return memo[key]
+    operands = f[1] if f[0] in ("and", "or") else f[1:]
+    parts = [substitute(p, var, value, memo) for p in operands]
+    if all(new is old for new, old in zip(parts, operands)):
+        out = f
+    else:
+        out = _CONSTRUCTORS[f[0]](*parts)
+    if memo is not None:
+        memo[key] = out
+    return out
+
+
+_CONSTRUCTORS = {"not": f_not, "iff": f_iff, "and": f_and, "or": f_or}
 
 
 def eval_formula(f: Formula, assignment: Mapping[int, bool]) -> bool:
@@ -276,6 +290,7 @@ def shannon_compile(theory: Theory,
 
     builder = _Builder(theory.var_count)
     memo: dict[Formula, int] = {}
+    substituted: dict = {}
 
     def compile_rec(f: Formula) -> int:
         if f is True:
@@ -287,7 +302,7 @@ def shannon_compile(theory: Theory,
         v = min(vars_of(f), key=position.__getitem__)
         branches = []
         for value, lit in ((True, v), (False, -v)):
-            sub = compile_rec(substitute(f, v, value))
+            sub = compile_rec(substitute(f, v, value, substituted))
             node = builder.nodes[sub]
             if node.kind is NodeKind.FALSE:
                 continue

@@ -20,10 +20,11 @@ is the leaf covariance: the label variances on the diagonal and the
 explicit cross-variable entries off it.  Each gradient takes a forward
 pass (node means) and a reverse pass (adjoints), so it costs O(n) time
 and memory (Darwiche, "A differential approach to inference in Bayesian
-networks", JACM 2003).  The forward pass is ``circuit.sweep``, the one
-bottom-up fold behind every backend, with sums and products of floats:
-Y's runs once over ``Circuit.schedule``'s nodes, and each query's X
-recomputes only the ancestors of its negated leaves.  Every reverse pass
+networks", JACM 2003).  The forward pass is one run of
+``Circuit.schedule``'s lockstep pass, the one bottom-up fold behind every
+backend, with sums and products of floats and every node mean kept: Y's
+means come from its evidence sweep, and each query's X recomputes only
+the ancestors of its negated leaves.  Every reverse pass
 walks all nodes that reach the root and forms each gate's child weights
 dn/dc from the means on its way down.  The gate rules are:
 
@@ -33,7 +34,7 @@ dn/dc from the means on its way down.  The gate rules are:
   E[n] = prod_c E[c], with weight w_c = prod_{c' != c} E[c'], i.e.
   E[n]/E[c] away from zero means.
 
-As the means are the sweep's, E[X]/E[Y] is the ``prob`` backend's
+As the means are the pass's, E[X]/E[Y] is the ``prob`` backend's
 conditional bit for bit.
 
 The second-order term var[c] var[c'] + cov[c,c']^2 of each product
@@ -73,7 +74,7 @@ from typing import Iterable, Optional
 from . import betacalc
 from .betacalc import BetaLabel, Moments
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable,
-                      NodeKind, query_literals, sweep)
+                      NodeKind, query_literals)
 from .semirings import InconsistentEvidenceError
 
 
@@ -190,7 +191,7 @@ def shadow_circuit(c: Circuit) -> ShadowedCircuit:
     q = c.query_literal
     if q is None:
         raise CircuitError("circuit has no staged query; call set_condition first")
-    shadowed = c.schedule((q,)).joint[q][0]
+    shadowed = list(c.schedule((q,)).joint[q])
     shadow_of = {nid: len(c) + k for k, nid in enumerate(shadowed)}
     stub_ids = frozenset(shadow_of[nid] for nid in shadowed
                          if not c.node(nid).children)
@@ -275,9 +276,10 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     query, if any, is ignored.  ``queries`` are query literals; the result
     maps each to its answer.  The denominator Y is the root as is, and a
     query's numerator X is the root with that query's negated leaves
-    pinned to 0.  Y's node means and (E[Y], g_Y) are computed once; each
-    query copies Y's means, recomputes its ``joint`` nodes in
-    ``c.schedule(queries)`` and adds one reverse pass.  With
+    pinned to 0.  One run of ``c.schedule(queries)`` gives Y's node means
+    and every query's ``joint`` node means; (E[Y], g_Y) are computed once,
+    and each query copies Y's means, overwrites its ``joint`` nodes and
+    adds one reverse pass.  With
     mu = E[X]/E[Y], the ratio gradient is rho = (g_X - mu g_Y)/E[Y] and
     the variance is rho' S rho, where S holds the label variances on its
     diagonal and ``leaf_cov``'s cross entries off it (default: independent
@@ -287,8 +289,9 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     queries = query_literals(c, queries)
     plan = c.schedule(queries)
     nodes = c.nodes
-    means = sweep(c, [0.0] * len(c), plan.order, {}, 0.0, 1.0,
-                  operator.add, operator.mul, labels.mean_of)
+    values = plan.run(0.0, 1.0, operator.add, operator.mul, labels.mean_of,
+                      drop=False)
+    means = values[:len(c)]
     mean_den = means[c.root]
     if mean_den == 0.0:
         raise InconsistentEvidenceError("inconsistent evidence")
@@ -301,9 +304,10 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     g_den = _gradient(c, plan.order, means, leaves)
     out = {}
     for q in queries:
-        # The joint ids' leaves are the negated-query leaves, pinned to 0.
-        means_num = sweep(c, means.copy(), plan.joint[q][0], {}, 0.0, 1.0,
-                          operator.add, operator.mul, lambda lit: 0.0)
+        # X's means are Y's but on the query's joint nodes.
+        means_num = means.copy()
+        for i, slot in plan.joint[q].items():
+            means_num[i] = values[slot]
         mean = means_num[c.root] / mean_den
         # The pinned leaves are constants and contribute no derivative.
         g_num = _gradient(c, plan.order, means_num,

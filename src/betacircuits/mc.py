@@ -8,22 +8,29 @@ variance then estimate the query's posterior mean and epistemic variance.
 
 ``mc_eval_queries`` answers several queries on one evidence circuit from
 one shared draw (common random numbers): per batch it makes one
-``circuit.eval_queries`` call on arrays, which runs one evidence sweep and
-recomputes only each query's negated-leaf ancestors.  ``mc_eval`` is the
-one-query case.
+``circuit.eval_queries`` call on arrays, one lockstep pass that runs the
+evidence sweep and recomputes only each query's negated-leaf ancestors.
+``mc_eval`` is the one-query case.
 
 The draw stream is fixed: per batch, one ``rng.beta(alpha, beta,
 size=batch)`` (a constant array for a certain label) for every labelled
 variable with a leaf anywhere in the circuit, in ascending id.  The draws
-are made as the evidence sweep reads them.  Its first read of a
-variable's leaves draws that variable and every earlier one not drawn
-yet; a draw is dropped after the sweep's last read of it, at once if the
-sweep never reads it; the variables past the last read are drawn after
-the sweep, so the next batch starts where it would have.  Besides the
-sweep's own node values, a batch thus holds the draws of the variables
-read ahead of the sweep, not of all variables: few on a circuit that
-lists its leaves in ascending variable order, nearly all on one that
-lists them descending, as ``shannon_compile``'s output does.
+are made as the pass reads the leaves, once each in id order.  Its first
+read of a variable's leaves draws that variable and every earlier one
+not drawn yet; a draw is dropped after the pass's last read of it, at
+once if the pass never reads it; the variables past the last read are
+drawn after the pass, so the next batch starts where it would have.
+
+A batch thus holds, besides a few per-variable counters:
+
+* the draws of the variables read ahead of the pass: few on a circuit
+  that lists its leaves in ascending variable order, nearly all on one
+  that lists them descending, as ``shannon_compile``'s output does;
+* per sweep, the values that some later fold still reads, and one
+  partial fold per gate that has started but not finished.  A gate folds
+  each child as soon as it is ready and the child's value is then
+  dropped, so a wide AND holds one running product per sweep, not all its
+  children.
 
 numpy is imported on the first call, not with the module, so that
 importing the package (and the CLI's other backends) does not load it.
@@ -35,7 +42,6 @@ draws the evidence is reported as almost surely inconsistent.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -81,12 +87,19 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
         raise ValueError("n_samples must be >= 1")
     rng = (seed if isinstance(seed, np.random.Generator)
            else np.random.default_rng(seed))
-    circuit_vars = sorted({n.var for n in c.nodes
-                           if n.kind is NodeKind.LITERAL and n.var in labels})
-    # Leaf nodes the evidence sweep reads, per labelled variable.
-    swept = (c.nodes[i] for i in c.schedule(queries).order)
-    reads = Counter(n.var for n in swept if n.kind is NodeKind.LITERAL
-                    and n.lam != 0 and n.var in labels)
+    # Per variable id: whether it is drawn (labelled, with a leaf anywhere
+    # in the circuit) and how many of its leaves the evidence sweep reads.
+    # Lists indexed by id, not dicts or sets, keep this bookkeeping small
+    # beside a batch's arrays.
+    drawn = [False] * (1 + max(n.var for n in c.nodes))
+    reads = [0] * len(drawn)
+    for n in c.nodes:
+        if n.kind is NodeKind.LITERAL:
+            drawn[n.var] = n.var in labels
+    for i in c.schedule(queries).order:
+        n = c.nodes[i]
+        if n.kind is NodeKind.LITERAL and n.lam != 0 and drawn[n.var]:
+            reads[n.var] += 1
 
     accepted: dict[int, list[np.ndarray]] = {q: [] for q in queries}
     n_acc = 0
@@ -94,7 +107,7 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     total = 0
     while n_acc < n_samples:
         batch = n_samples - n_acc
-        undrawn = iter(circuit_vars)
+        undrawn = (v for v, d in enumerate(drawn) if d)
         unread = reads.copy()
         held: dict[int, np.ndarray] = {}
         zeros = np.zeros(batch)
@@ -108,12 +121,12 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
 
         def leaf(lit: int) -> np.ndarray:
             v = abs(lit)
-            if v not in reads:
+            if not reads[v]:
                 # Derived (unlabelled) atom: weight 1 for both polarities.
                 return ones
             if v not in held:
                 # Draw every variable up to v not drawn yet, in variable
-                # order; hold those the sweep has still to read.
+                # order; hold those the pass has still to read.
                 for u in undrawn:
                     p = draw(u)
                     if unread[u]:

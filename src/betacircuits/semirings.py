@@ -1,6 +1,6 @@
 """Baseline semiring parametrisations for conditioned circuit evaluation.
 
-Three pluggable value domains instantiate the generic circuit sweep
+Three pluggable value domains instantiate the generic circuit pass
 ``circuit.eval_queries``:
 
 * ``prob_semiring`` -- point probabilities with (+, *, /); the reference
@@ -14,8 +14,9 @@ Three pluggable value domains instantiate the generic circuit sweep
   to the final conditioned value (not per node).
 
 Conditioning divides a query's joint with the evidence by the evidence.
-One sweep gives the evidence; each query's joint recomputes only the
-ancestors of its negated-query leaves, forced to the additive identity.
+One pass gives the evidence and every query's joint, which recomputes
+only the ancestors of its negated-query leaves, forced to the additive
+identity.
 
 Neither the opinion calculus nor moment propagation forms a true semiring:
 their uncertainty components are order-dependent, so the fold order over

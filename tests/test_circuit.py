@@ -1,9 +1,11 @@
 """Tests for circuit parsing, validation, conditioning, and evaluation."""
 
+import gc
 import itertools
 import operator
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -14,19 +16,26 @@ from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (
     CircuitError, LabelTable, NodeKind, eval_queries, format_label_table,
     format_nnf, parse_condition_file, parse_label_table, parse_nnf,
-    set_condition, truth_value, validate)
+    _Schedule, set_condition, truth_value, validate)
 from betacircuits.compile import Theory, f_iff, f_not, f_var, shannon_compile
 from betacircuits.cpb import eval_cov_queries
 from betacircuits.examples import (BUILTIN_MODELS, BURGLARY_NNF,
                                    burglary_circuit, burglary_labels)
+from betacircuits.mc import mc_eval
 from betacircuits.semirings import (InconsistentEvidenceError,
                                     conditioned_eval_queries, mm_semiring,
                                     prob_semiring, sl_semiring)
 
 
 def full_sweep(c, zero, one, plus, times, leaf_value, zero_literal=0):
-    """Every node in file order, the leaves of ``zero_literal`` forced to
-    ``zero``: the reference for ``eval_queries``."""
+    """The root of ``full_values``: the reference for ``eval_queries``."""
+    return full_values(c, zero, one, plus, times, leaf_value,
+                       zero_literal)[c.root]
+
+
+def full_values(c, zero, one, plus, times, leaf_value, zero_literal=0):
+    """Every node in file order, each gate folded whole, the leaves of
+    ``zero_literal`` forced to ``zero``."""
     values = []
     for n in c.nodes:
         if n.kind is NodeKind.LITERAL:
@@ -42,7 +51,7 @@ def full_sweep(c, zero, one, plus, times, leaf_value, zero_literal=0):
             for ch in n.children[1:]:
                 acc = op(acc, values[ch])
             values.append(acc)
-    return values[c.root]
+    return values
 
 
 def exact(value):
@@ -357,6 +366,91 @@ class TestEvaluation:
         assert not truth_value(c, {1: True, 2: False, 3: False})
         with pytest.raises(KeyError):
             truth_value(c, {1: True, 2: False})
+
+
+# Gates 8, 9 and 10 list their children out of id order, gate 7 lists
+# one child twice and gate 10 lists gate 9 twice.  Each query's joint
+# sweep recomputes a three-child gate whose other children are not zero,
+# where another fold order would round differently.
+FOLD_ORDER_NNF = ("nnf 11 13 3\n"
+                  "L 1\nL -1\nL 2\nL -2\nL 3\nL -3\n"
+                  "O 0 2 1 4\nA 2 3 3\nA 3 5 6 2\nO 0 3 8 7 0\n"
+                  "O 0 3 9 4 9\n")
+
+
+def full_fold_pass(c):
+    """``_Schedule.run`` by ``full_values``: every sweep folds every node
+    whole, and nothing is dropped."""
+    def run(plan, zero, one, plus, times, leaf, drop=True):
+        ops = (zero, one, plus, times, leaf)
+        values = full_values(c, *ops) + [None] * (plan.size - len(c))
+        for q, slots in plan.joint.items():
+            joint = full_values(c, *ops, -q)
+            for i, slot in slots.items():
+                values[slot] = joint[i]
+        return values
+    return run
+
+
+class TestFoldOrder:
+    """The lockstep pass folds each gate child by child as its children
+    become ready; every value must still be that of a whole fold."""
+
+    @pytest.fixture(params=["hand", "blocks"])
+    def case(self, request, make_block_nnf):
+        if request.param == "hand":
+            c = parse_nnf(FOLD_ORDER_NNF)
+            return c, [1, -1, 2, -2, 3, -3]
+        c = set_condition(parse_nnf(make_block_nnf(300)), None, [(900, True)])
+        return c, [1, -1, -4, 449, -898, 900]
+
+    @pytest.mark.parametrize("domain", ["mc", "prob", "sl", "mm"])
+    def test_eval_queries_matches_full_fold(self, case, domain):
+        c, queries = case
+        rng = np.random.default_rng(12)
+        variables = sorted({n.var for n in c.nodes
+                            if n.kind is NodeKind.LITERAL})
+        if domain == "mc":
+            probs = {v: rng.beta(2.0, 3.0, size=16) for v in variables}
+            ops = (np.zeros(16), np.ones(16), operator.add, operator.mul,
+                   lambda lit: probs[lit] if lit > 0 else 1.0 - probs[-lit])
+        else:
+            spec = {"prob": prob_semiring, "sl": sl_semiring,
+                    "mm": mm_semiring}[domain]()
+            labels = random_labels(random.Random(12), variables)
+            ops = (spec.zero, spec.one, spec.plus, spec.times,
+                   lambda lit: spec.from_label(labels.label_of(lit)))
+        ev, joints = eval_queries(c, queries, *ops)
+        assert exact(ev) == exact(full_sweep(c, *ops))
+        for q in queries:
+            assert exact(joints[q]) == exact(full_sweep(c, *ops, -q))
+
+    def test_cpb_matches_full_fold(self, case, monkeypatch):
+        c, queries = case
+        variables = sorted({n.var for n in c.nodes
+                            if n.kind is NodeKind.LITERAL})
+        labels = random_labels(random.Random(13), variables)
+        got = eval_cov_queries(c, queries, labels)
+        monkeypatch.setattr(_Schedule, "run", full_fold_pass(c))
+        want = eval_cov_queries(c, queries, labels)
+        assert ({q: (r.mean, r.variance) for q, r in got.items()}
+                == {q: (r.mean, r.variance) for q, r in want.items()})
+
+    def test_circuit_and_schedule_need_no_cycle_collector(self):
+        # A cached schedule must not point back at its circuit, or both
+        # would live until the cyclic collector ran.
+        gc.disable()
+        try:
+            c = set_condition(burglary_circuit(), query=1)
+            labels = burglary_labels()
+            eval_cov_queries(c, (1,), labels)
+            conditioned_eval_queries(c, prob_semiring(), labels, (1,))
+            mc_eval(c, labels, 10)
+            refs = [weakref.ref(c), weakref.ref(c.schedule((1,)))]
+            del c
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestConditioning:

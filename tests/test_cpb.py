@@ -10,7 +10,7 @@ import pytest
 from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
                                   parse_nnf, set_condition)
-from betacircuits import cpb
+from betacircuits import circuit
 from betacircuits.compile import (Theory, f_and, f_iff, f_not, f_or, f_var,
                                   shannon_compile)
 from betacircuits.cpb import (LeafCovariance, eval_cov, eval_cov_queries,
@@ -123,14 +123,16 @@ class TestPasses:
 
     @staticmethod
     def gates_evaluated(monkeypatch, nnf, queries):
+        # Each gate evaluation of each sweep starts with one _COPY step.
         gates = []
-        sweep_of = cpb.sweep
+        run_of = circuit._Schedule.run
 
-        def sweep(c, values, ids, *args):
-            gates.extend(i for i in ids if c.node(i).children)
-            return sweep_of(c, values, ids, *args)
+        def run(plan, *args, **kwargs):
+            gates.extend(slot for op, slot, _ in plan.steps
+                         if op == circuit._COPY)
+            return run_of(plan, *args, **kwargs)
 
-        monkeypatch.setattr(cpb, "sweep", sweep)
+        monkeypatch.setattr(circuit._Schedule, "run", run)
         c = parse_nnf(nnf)
         labels = LabelTable({v: BetaLabel(3, 2)
                              for v in range(1, c.var_count + 1)})

@@ -252,6 +252,26 @@ class TestSharedDraw:
             tracemalloc.stop()
         assert peak <= 8e6
 
+    def test_memory_does_not_grow_with_fan_in(self, make_block_nnf):
+        # The root folds in each block as soon as that block is done, and
+        # the block's value is dropped then, so no call holds all blocks.
+        peaks = {}
+        for k in (30, 300):
+            c = set_condition(parse_nnf(make_block_nnf(k)), query=1,
+                              evidence=[(3 * k, True)])
+            labels = LabelTable({v: BetaLabel(2.0, 3.0)
+                                 for v in range(1, 3 * k + 1)})
+            # Untraced first: it builds the schedule and warms numpy up.
+            mc_eval(c, labels, 2000, seed=0)
+            tracemalloc.start()
+            try:
+                mc_eval(c, labels, 2000, seed=0)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[300] <= 1.5 * peaks[30]
+        assert peaks[300] <= 0.5e6
+
     def test_argument_errors(self):
         with pytest.raises(ValueError, match="no queries"):
             mc_eval_queries(STAGED, (), burglary_labels(), 10)
