@@ -34,8 +34,8 @@ File format (c2d-style NNF text):
     A <k> <id...>              AND gate with k children ("A 0" is TRUE)
     O <decision-var> <k> <id...>   OR gate ("O 0 0" is FALSE)
 
-Children are listed by node id and must precede their parents; the last
-node is the root.
+Children are listed by node id and must precede the gates that list them;
+the last node is the root.
 """
 
 from __future__ import annotations
@@ -333,14 +333,20 @@ def set_condition(c: Circuit, query: Optional[int],
     """Return a copy conditioned on evidence with a staged query literal.
 
     Evidence (var, value) pairs set lambda = 0 on every leaf asserting the
-    *contradicting* polarity of that variable.  The query literal is only
+    *contradicting* polarity of that variable; a negative var reads as a
+    literal, so (-v, True) is (v, False).  The query literal is only
     recorded: the evaluators pin its negation's leaves to 0 when they
     compute the numerator of the conditional.
 
-    Raises CircuitError when the query variable does not occur in the
-    circuit.
+    Raises CircuitError when an evidence variable is 0 or above
+    ``c.var_count``, or the query variable does not occur in the circuit.
+    Evidence on a variable with no leaf is accepted and changes nothing.
     """
     contradicted = {(-v if val else v) for v, val in evidence}
+    for lit in contradicted:
+        if not 0 < abs(lit) <= c.var_count:
+            raise CircuitError(f"evidence variable {abs(lit)} out of range "
+                               f"1..{c.var_count}")
     if query is not None:
         query_literals(c, (query,))
     new_nodes = []
@@ -504,11 +510,12 @@ class _Schedule:
     """One lockstep pass: the evidence sweep and every query's joint sweep.
 
     ``order`` lists the nodes that reach the root, in id order (children
-    first).  ``joint[q]`` maps each node that query q recomputes (its
-    negated-query leaves with lambda = 1 that reach the root, and their
-    ancestors, in id order) to the slot of its joint value; slot i holds
-    node i's evidence value, which every other node of the joint sweep
-    reads.  ``steps`` reads the leaves of ``order`` once each, in id order
+    first), and ``leaves`` its literal leaves with lambda = 1: the only
+    nodes whose values the pass reads from ``leaf``.  ``joint[q]`` maps
+    each node that query q recomputes (the ``leaves`` of literal -q and
+    their ancestors, in id order) to the slot of its joint value; slot i
+    holds node i's evidence value, which every other node of the joint
+    sweep reads.  ``steps`` reads ``leaves`` once each, in id order
     (Monte Carlo draws each variable at its first read), and folds each
     gate of each sweep into its slot in file order, one child per step:
     the step that folds child k runs as soon as that child's value and the
@@ -520,6 +527,7 @@ class _Schedule:
     """
 
     order: list[int]
+    leaves: list[int]
     joint: dict[int, dict[int, int]]
     steps: list[tuple[int, int, int]]
     size: int
@@ -534,7 +542,6 @@ class _Schedule:
         """
         nodes = c.nodes
         tops = [c.root] if tops is None else list(tops)
-        parents: list[list[int]] = [[] for _ in nodes]
         reach = [False] * len(nodes)
         for t in tops:
             reach[t] = True
@@ -542,25 +549,25 @@ class _Schedule:
             if reach[n.id]:
                 for ch in n.children:
                     reach[ch] = True
-                    parents[ch].append(n.id)
         order = [i for i in range(len(nodes)) if reach[i]]
+        leaves = [i for i in order if nodes[i].kind is NodeKind.LITERAL
+                  and nodes[i].lam != 0]
+        # Every gate of the evidence sweep: its id, fold step and children.
+        gates = [(i, _TIMES if nodes[i].kind is NodeKind.AND else _PLUS,
+                  nodes[i].children) for i in order if nodes[i].children]
         joint: dict[int, dict[int, int]] = {}
         size = len(nodes)
         for q in queries:
-            dirty = {i for i in order
-                     if nodes[i].literal == -q and nodes[i].lam != 0}
-            stack = list(dirty)
-            while stack:
-                for p in parents[stack.pop()]:
-                    if p not in dirty:
-                        dirty.add(p)
-                        stack.append(p)
+            # Children come first, so one scan in id order finds every
+            # ancestor of the query's negated leaves.
+            dirty = {i for i in leaves if nodes[i].literal == -q}
+            for i, _, kids in gates:
+                if not dirty.isdisjoint(kids):
+                    dirty.add(i)
             joint[q] = {i: size + k for k, i in enumerate(sorted(dirty))}
             size += len(dirty)
 
-        # Every gate of every sweep: its slot, fold step and child slots.
-        gates = [(i, _TIMES if nodes[i].kind is NodeKind.AND else _PLUS,
-                  nodes[i].children) for i in order if nodes[i].children]
+        # Each query's joint sweep folds its gates into their joint slots.
         folds = gates.copy()
         for slots in joint.values():
             folds += [(slots[i], op, tuple(slots.get(ch, ch) for ch in kids))
@@ -576,13 +583,14 @@ class _Schedule:
                     if c.root in slots)
 
         steps: list[tuple[int, int, int]] = []
+        read = set(leaves)
         ready = [False] * size
         done = [0] * len(folds)  # children folded so far, per fold
         for i in order:
             n = nodes[i]
             if n.children:
                 continue
-            if n.kind is NodeKind.LITERAL and n.lam != 0:
+            if i in read:
                 steps.append((_LEAF, i, n.literal))
             else:
                 steps.append((_ONE if n.kind is NodeKind.TRUE else _ZERO,
@@ -610,7 +618,7 @@ class _Schedule:
                         stack.append(slot)
                     else:
                         waiting.setdefault(kids[k], []).append(f)
-        return cls(order, joint, steps, size)
+        return cls(order, leaves, joint, steps, size)
 
     def run(self, zero, one, plus: Callable, times: Callable,
             leaf: Callable[[int], object], drop: bool = True) -> list:

@@ -55,12 +55,6 @@ divides by E[Y] once, where that expansion needs E[Y]^4, which underflows
 to 0.0 below E[Y] ~ 1e-81.  A subnormal E[Y] (below ~2.2e-308) is
 reported as an ArithmeticError, as its gradients have lost bits.  The
 variance is clamped to [0, mu (1 - mu)] before beta moment matching.
-
-``shadow_circuit`` duplicates those same ancestors, so one circuit
-carries both roots.  The dense O(n^2) reference, which propagates every
-node's covariance row against every other node (cov[n,z] = sum_c w_c
-cov[c,z]) over a shadowed circuit, lives with the tests in
-``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -100,6 +94,8 @@ class LeafCovariance:
             self.set(li, lj, v)
 
     def set(self, lit_i: int, lit_j: int, value: float) -> None:
+        if not (lit_i and lit_j):
+            raise ValueError("0 is not a literal")
         if abs(lit_i) == abs(lit_j):
             raise ValueError(
                 "diagonal blocks are implied by the labels; "
@@ -154,52 +150,22 @@ def parse_leaf_cov(text: str) -> LeafCovariance:
 
 @dataclass
 class ShadowedCircuit:
-    """A circuit plus the shadow copies of the negated-query ancestor chain.
+    """A circuit with a staged query, and the slot count of its pass.
 
-    Shadow nodes get fresh ids starting at ``len(circuit)``.  ``shadow_of``
-    maps each shadowed base id to its shadow id; ``shadow_children`` gives
-    each shadow gate's child list, where a child is the shadow copy when
-    the base child is itself shadowed and the shared base node otherwise.
-    ``stub_ids`` are the shadow copies of the negated-query leaves, pinned
-    to 0 during evaluation.
+    ``n_total`` is ``len(circuit)`` plus the number of nodes that the
+    query's numerator recomputes (its ``joint`` schedule).
     """
 
     circuit: Circuit
-    shadow_of: dict[int, int]
-    shadow_children: dict[int, tuple[int, ...]]
-    stub_ids: frozenset[int]
     n_total: int
-
-    @property
-    def base_root(self) -> int:
-        return self.circuit.root
-
-    @property
-    def shadow_root(self) -> int:
-        return self.shadow_of.get(self.circuit.root, self.circuit.root)
 
 
 def shadow_circuit(c: Circuit) -> ShadowedCircuit:
-    """Duplicate the nodes that the staged query's numerator recomputes.
-
-    Requires a query staged by ``set_condition``.  The shadowed nodes are
-    the query's ``joint`` schedule: its negated leaves with lambda = 1 that
-    reach the root, and their ancestors.  When there are none the shadow
-    root coincides with the base root (the conditional is then trivially
-    1, i.e. the query is implied by the circuit and evidence).
-    """
+    """Wrap a circuit whose query is staged by ``set_condition``."""
     q = c.query_literal
     if q is None:
         raise CircuitError("circuit has no staged query; call set_condition first")
-    shadowed = list(c.schedule((q,)).joint[q])
-    shadow_of = {nid: len(c) + k for k, nid in enumerate(shadowed)}
-    stub_ids = frozenset(shadow_of[nid] for nid in shadowed
-                         if not c.node(nid).children)
-    shadow_children = {shadow_of[nid]: tuple(shadow_of.get(ch, ch)
-                                             for ch in c.node(nid).children)
-                       for nid in shadowed if c.node(nid).children}
-    return ShadowedCircuit(c, shadow_of, shadow_children, stub_ids,
-                           len(c) + len(shadowed))
+    return ShadowedCircuit(c, c.schedule((q,)).size)
 
 
 # ---------------------------------------------------------------------
@@ -298,9 +264,8 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     if mean_den < sys.float_info.min:
         # A subnormal E[Y] and its gradients keep too few bits for rho.
         raise ArithmeticError(f"E[evidence] = {mean_den!r} is subnormal")
-    # The lambda=1 literal leaves: the only nodes with leaf-level cov.
-    leaves = [nodes[i] for i in plan.order
-              if nodes[i].kind is NodeKind.LITERAL and nodes[i].lam == 1]
+    # The leaves the pass reads: the only nodes with leaf-level cov.
+    leaves = [nodes[i] for i in plan.leaves]
     g_den = _gradient(c, plan.order, means, leaves)
     out = {}
     for q in queries:

@@ -96,10 +96,9 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     for n in c.nodes:
         if n.kind is NodeKind.LITERAL:
             drawn[n.var] = n.var in labels
-    for i in c.schedule(queries).order:
-        n = c.nodes[i]
-        if n.kind is NodeKind.LITERAL and n.lam != 0 and drawn[n.var]:
-            reads[n.var] += 1
+    for i in c.schedule(queries).leaves:
+        if drawn[c.nodes[i].var]:
+            reads[c.nodes[i].var] += 1
 
     accepted: dict[int, list[np.ndarray]] = {q: [] for q in queries}
     n_acc = 0

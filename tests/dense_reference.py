@@ -2,7 +2,10 @@
 
 ``moment_sweep`` propagates every node's mean and its covariance row
 against every other node of a shadowed circuit (cov[n,z] = sum_c w_c
-cov[c,z]).  It forms its own gate means and weights: an OR's mean is the
+cov[c,z]): the base nodes plus a shadow copy of each node that the staged
+query's numerator recomputes, so that one matrix carries both roots.  The
+shadow copies are the query's ``joint`` slots in ``Circuit.schedule``.
+It forms its own gate means and weights: an OR's mean is the
 fsum of its children's and each weight is 1; an AND's mean is their
 product and each child's weight the product of the other children's
 means.  It yields the same first-order moments as ``cpb.eval_cov``'s
@@ -24,6 +27,17 @@ import numpy as np
 from betacircuits.circuit import CircuitNode, LabelTable, NodeKind
 from betacircuits.cpb import LeafCovariance, ShadowedCircuit
 from betacircuits.semirings import InconsistentEvidenceError
+
+
+def shadow_ids(sc: ShadowedCircuit) -> dict[int, int]:
+    """Each node the staged query's numerator recomputes -> its shadow id.
+
+    These are the ``joint`` slots of the query's schedule: shadow ids
+    start at ``len(sc.circuit)``, in base id order.  With no negated-query
+    leaf the map is empty and the shadow root is the base root.
+    """
+    q = sc.circuit.query_literal
+    return sc.circuit.schedule((q,)).joint[q]
 
 
 def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
@@ -58,12 +72,15 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
                 cov[a.id, b.id] = cov[b.id, a.id] = leaf_cov.lookup(
                     labels, a.literal, b.literal)
 
-    # Shadow stubs keep mean 0 and a zero covariance row.
+    # The shadow copy of node b is the query's joint slot shadow[b], and
+    # a shadow gate reads the shadow copy of each child that has one.  The
+    # shadow leaves (the negated-query leaves) keep mean 0 and a zero row.
+    shadow = shadow_ids(sc)
     gates = [(node.id, node.kind, node.children)
              for node in c.nodes if node.children]
-    gates += [(sh, c.node(b).kind, sc.shadow_children[sh])
-              for b, sh in sorted(sc.shadow_of.items())
-              if sh not in sc.stub_ids]
+    gates += [(sh, c.node(b).kind,
+               tuple(shadow.get(ch, ch) for ch in c.node(b).children))
+              for b, sh in shadow.items() if c.node(b).children]
     for nid, kind, children in gates:
         child_means = [float(means[ch]) for ch in children]
         if kind is NodeKind.OR:
@@ -97,7 +114,8 @@ def conditioned_moments(sc: ShadowedCircuit, labels: LabelTable,
     clamped to [0, mean (1 - mean)] as ``eval_cov`` clamps its own.
     """
     means, cov = moment_sweep(sc, labels, leaf_cov)
-    num, den = sc.shadow_root, sc.base_root
+    den = sc.circuit.root
+    num = shadow_ids(sc).get(den, den)
     mx, my = float(means[num]), float(means[den])
     if my == 0.0:
         raise InconsistentEvidenceError("inconsistent evidence")

@@ -11,7 +11,8 @@ from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import LabelTable, format_label_table, format_nnf
 from betacircuits import cli
 from betacircuits.cli import main
-from betacircuits.examples import burglary_circuit, burglary_labels
+from betacircuits.examples import (burglary_circuit, burglary_labels,
+                                   net1_model)
 
 
 @pytest.fixture()
@@ -21,6 +22,20 @@ def burglary_files(tmp_path):
     circuit.write_text(format_nnf(burglary_circuit()))
     labels.write_text(format_label_table(burglary_labels()))
     return circuit, labels
+
+
+@pytest.fixture()
+def net1_files(tmp_path):
+    """net1 compiled with all-true evidence, labels varying by variable."""
+    model = net1_model()
+    circuit = tmp_path / "net1.nnf"
+    labels = tmp_path / "net1.labels"
+    circuit.write_text(format_nnf(
+        model.circuit({v: True for v in model.random_evidence_vars})))
+    labels.write_text(format_label_table(LabelTable(
+        {v: BetaLabel(4.0 + 2 * (v % 4), 6.0 + 3 * (v % 3))
+         for v in model.prob_vars})))
+    return circuit, labels, model.query_vars[0]
 
 
 def run(capsys, *argv):
@@ -56,6 +71,44 @@ class TestInfer:
         mean, var, _, _ = out.split()
         assert float(mean) == pytest.approx(0.3571428571428571, abs=1e-12)
         assert float(var) == pytest.approx(0.04705831444690252, abs=1e-12)
+
+    @pytest.mark.parametrize("backend, cov, expect", [
+        ("prob", False, "0.3571428571428571 2.2959183673446427e-13 "
+         "357142857142.8571 642857142857.143\n"),
+        ("sl", False, "0.3571428571428571 0.0373063534225331 "
+         "1.8407960199004985 3.3134328358208975\n"),
+        ("mm", False, "0.3571428571428571 0.0604189044038668 "
+         "1.0 1.8000000000000003\n"),
+        ("cpb", False, "0.3571428571428571 0.04705831444690254 "
+         "1.3853140394088665 2.49356527093596\n"),
+        ("cpb", True, "0.3571428571428571 0.04120137983632361 "
+         "1.6330109890109885 2.93941978021978\n"),
+    ], ids=["prob", "sl", "mm", "cpb", "cpb-cov"])
+    def test_burglary_output_is_pinned(self, burglary_files, tmp_path,
+                                       capsys, backend, cov, expect):
+        circuit, labels = burglary_files
+        extra = ()
+        if cov:
+            (tmp_path / "leaf.cov").write_text("1 2 0.001\n")
+            extra = ("--cov", tmp_path / "leaf.cov")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "1",
+                           "--backend", backend, *extra)
+        assert (rc, out, err) == (0, expect, "")
+
+    @pytest.mark.parametrize("backend, expect", [
+        ("cpb", "0.24710424710424717 0.019895173782599997 "
+         "2.063616852929296 6.287582598768947\n"),
+        ("mm", "0.24710424710424717 0.03686315555017518 "
+         "1.0 3.046874999999999\n"),
+    ])
+    def test_compiled_circuit_output_is_pinned(self, net1_files, capsys,
+                                               backend, expect):
+        circuit, labels, query = net1_files
+        rc, out, _ = run(capsys, "infer", "--circuit", circuit,
+                         "--labels", labels, "--query", query,
+                         "--backend", backend)
+        assert (rc, out) == (0, expect)
 
     def test_query_from_evidence_file(self, burglary_files, tmp_path, capsys):
         circuit, labels = burglary_files
@@ -138,6 +191,53 @@ class TestInfer:
             rc, out, err = run(capsys, *infer, "--cov", cov)
             assert (rc, out) == (2, "")
             assert err.startswith("error: leaf covariance line 2:")
+
+    @pytest.mark.parametrize("line", ["evidence 0 1", "evidence 9 1",
+                                      "evidence -9 0"])
+    def test_evidence_variable_out_of_range(self, burglary_files, tmp_path,
+                                            capsys, line):
+        # Before, each of these answered the unconditioned 5/14, exit 0.
+        circuit, labels = burglary_files
+        cond = tmp_path / "cond.txt"
+        cond.write_text(line + "\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--evidence", cond,
+                           "--query", "1", "--backend", "prob")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: evidence variable ")
+        assert err.endswith(" out of range 1..3\n")
+
+    def test_evidence_literals_and_leafless_variables(self, burglary_files,
+                                                      tmp_path, capsys):
+        # A negative id reads as a literal: "evidence -2 1" is earthquake
+        # false, which leaves burglary as the only way to the call.  A
+        # variable in range but with no leaf (as compiling can leave one)
+        # is accepted and changes nothing.
+        circuit, labels = burglary_files
+        wide = tmp_path / "wide.nnf"
+        header, body = circuit.read_text().split("\n", 1)
+        wide.write_text(header.rsplit(" ", 1)[0] + " 4\n" + body)
+        cond = tmp_path / "cond.txt"
+        for nnf, line, expect in ((circuit, "evidence -2 1", 1.0),
+                                  (wide, "evidence 4 0", 5.0 / 14.0)):
+            cond.write_text(line + "\n")
+            rc, out, _ = run(capsys, "infer", "--circuit", nnf,
+                             "--labels", labels, "--evidence", cond,
+                             "--query", "1", "--backend", "prob")
+            assert rc == 0
+            assert float(out.split()[0]) == pytest.approx(expect, abs=1e-12)
+
+    def test_cov_literal_0_is_rejected(self, burglary_files, tmp_path,
+                                       capsys):
+        # Before, "0 1 0.01" was stored under variable 0 and never read.
+        circuit, labels = burglary_files
+        cov = tmp_path / "leaf.cov"
+        cov.write_text("1 2 0.001\n0 1 0.01\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "1",
+                           "--backend", "cpb", "--cov", cov)
+        assert (rc, out) == (2, "")
+        assert err == "error: leaf covariance line 2: 0 is not a literal\n"
 
     @pytest.mark.parametrize("backend", ["prob", "sl", "mm", "mc"])
     def test_cov_needs_cpb(self, burglary_files, tmp_path, capsys, backend):

@@ -91,17 +91,14 @@ class TestLeafCovariance:
 
 class TestShadowing:
     def test_burglary_shadow_set(self):
-        sc = shadow_circuit(staged_burglary())
+        c = staged_burglary()
+        joint = c.schedule((1,)).joint[1]
         # The not-burglary leaf (id 1) and its ancestor chain 4, 5, 6.
-        assert sc.shadow_of == {1: 7, 4: 8, 5: 9, 6: 10}
-        assert sorted(sc.stub_ids) == [7]
-        assert sc.base_root == 6
-        assert sc.shadow_root == 10
-        # Shadow gates reference the shadow child when shadowed, the
-        # shared base node otherwise.
-        assert sc.shadow_children[8] == (7, 2)
-        assert sc.shadow_children[9] == (0, 8)
-        assert sc.shadow_children[10] == (9, 3)
+        assert joint == {1: 7, 4: 8, 5: 9, 6: 10}
+        assert [joint[i] for i in joint if not c.node(i).children] == [7]
+        assert c.root == 6
+        assert joint[c.root] == 10
+        assert shadow_circuit(c).n_total == 11
 
     def test_requires_staged_query(self):
         with pytest.raises(CircuitError, match="no staged query"):
@@ -109,10 +106,10 @@ class TestShadowing:
 
     def test_implied_query_degenerates(self):
         # No not-query leaf: the conditional is trivially 1.
-        c = parse_nnf("nnf 1 0 1\nL 1\n")
-        sc = shadow_circuit(set_condition(c, query=1))
-        assert sc.shadow_of == {}
-        assert sc.shadow_root == sc.base_root
+        c = set_condition(parse_nnf("nnf 1 0 1\nL 1\n"), query=1)
+        assert c.schedule((1,)).joint[1] == {}
+        sc = shadow_circuit(c)
+        assert sc.n_total == len(c)
         res = eval_cov(sc, LabelTable({1: BetaLabel(2, 2)}))
         assert res.mean == 1.0
         assert res.variance == 0.0
@@ -167,14 +164,14 @@ class TestBurglaryGoldens:
         assert not res.variance_clamped
 
     def test_intermediate_means(self):
-        sc = shadow_circuit(staged_burglary())
-        means, _ = moment_sweep(sc, burglary_labels())
+        c = staged_burglary()
+        means, _ = moment_sweep(shadow_circuit(c), burglary_labels())
         # base: b, not-b, e, h, not-b&e, b|(not-b&e), root; shadows last.
         assert means[0] == pytest.approx(0.1)
         assert means[4] == pytest.approx(0.18)
         assert means[5] == pytest.approx(0.28)
         assert means[6] == pytest.approx(0.196)
-        assert means[sc.shadow_root] == pytest.approx(0.07)
+        assert means[c.schedule((1,)).joint[1][c.root]] == pytest.approx(0.07)
 
     def test_diagonal_covariances(self):
         sc = shadow_circuit(staged_burglary())
