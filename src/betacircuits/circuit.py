@@ -41,9 +41,10 @@ the last node is the root.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from .betacalc import BetaLabel
 
@@ -130,83 +131,77 @@ class Circuit:
 # Parsing and formatting
 # ---------------------------------------------------------------------
 
+def _read_lines(text: str, what: str,
+                line: Callable[[list[str]], None]) -> None:
+    """Pass the tokens of each line of ``text`` to ``line``, in order.
+
+    Blank lines and comment lines (the first token starts with ``#``) are
+    skipped.  A ValueError or IndexError from ``line`` becomes a
+    CircuitError that names ``what`` and the line number.
+    """
+    for i, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if toks and not toks[0].startswith("#"):
+            try:
+                line(toks)
+            except (ValueError, IndexError) as exc:
+                why = exc if isinstance(exc, ValueError) else "too few fields"
+                raise CircuitError(f"{what} line {i}: {why}") from exc
+
+
 def parse_nnf(text: str) -> Circuit:
     """Parse c2d-style NNF text into a Circuit.
 
-    Raises CircuitError with a line number for malformed headers, dangling
-    child references, and out-of-range literals.
+    c2d's comment lines (first token ``c``) are skipped like ``#`` ones.
+    Raises CircuitError with a line number for a malformed line, a
+    dangling child reference or an out-of-range literal.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    content = [(i + 1, ln) for i, ln in enumerate(lines)
-               if ln and not ln.startswith("c")]
-    if not content:
-        raise CircuitError("empty NNF input")
-    lineno, header = content[0]
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "nnf":
-        raise CircuitError(f"line {lineno}: malformed header {header!r}")
-    try:
-        n_nodes, _n_edges, n_vars = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise CircuitError(f"line {lineno}: non-integer header field") from exc
-
+    header: list[int] = []
     nodes: list[CircuitNode] = []
-    for lineno, ln in content[1:]:
-        toks = ln.split()
-        nid = len(nodes)
-        tag = toks[0]
-        try:
-            if tag == "L":
-                if len(toks) != 2:
-                    raise CircuitError(f"line {lineno}: malformed literal line")
-                lit = int(toks[1])
-                if lit == 0 or abs(lit) > n_vars:
-                    raise CircuitError(
-                        f"line {lineno}: literal {lit} out of range 1..{n_vars}")
-                nodes.append(CircuitNode(nid, NodeKind.LITERAL, literal=lit))
-            elif tag == "A":
-                k = int(toks[1])
-                ids = tuple(int(t) for t in toks[2:])
-                if len(ids) != k:
-                    raise CircuitError(
-                        f"line {lineno}: AND arity {k} but {len(ids)} children")
-                if k == 0:
-                    nodes.append(CircuitNode(nid, NodeKind.TRUE))
-                else:
-                    _check_children(ids, nid, lineno)
-                    nodes.append(CircuitNode(nid, NodeKind.AND, ids))
-            elif tag == "O":
-                dvar = int(toks[1])
-                k = int(toks[2])
-                ids = tuple(int(t) for t in toks[3:])
-                if len(ids) != k:
-                    raise CircuitError(
-                        f"line {lineno}: OR arity {k} but {len(ids)} children")
-                if k == 0:
-                    nodes.append(CircuitNode(nid, NodeKind.FALSE))
-                else:
-                    _check_children(ids, nid, lineno)
-                    nodes.append(CircuitNode(nid, NodeKind.OR, ids,
-                                             decision_var=dvar))
-            else:
-                raise CircuitError(f"line {lineno}: unknown node tag {tag!r}")
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, CircuitError):
-                raise
-            raise CircuitError(f"line {lineno}: malformed node line {ln!r}") from exc
-    if len(nodes) != n_nodes:
+
+    def line(toks: list[str]) -> None:
+        if toks[0] == "c":
+            return
+        if not header:
+            if len(toks) != 4 or toks[0] != "nnf":
+                raise ValueError(f"malformed header {' '.join(toks)!r}")
+            header.extend(int(t) for t in toks[1:])
+            return
+        nid, tag, n_vars = len(nodes), toks[0], header[2]
+        if tag == "L":
+            if len(toks) != 2:
+                raise ValueError("malformed literal line")
+            lit = int(toks[1])
+            if lit == 0 or abs(lit) > n_vars:
+                raise ValueError(f"literal {lit} out of range 1..{n_vars}")
+            nodes.append(CircuitNode(nid, NodeKind.LITERAL, literal=lit))
+            return
+        if tag == "A":
+            kind, dvar, k, ids = NodeKind.AND, 0, int(toks[1]), toks[2:]
+        elif tag == "O":
+            kind, dvar, k, ids = NodeKind.OR, int(toks[1]), int(toks[2]), toks[3:]
+        else:
+            raise ValueError(f"unknown node tag {tag!r}")
+        children = tuple(int(t) for t in ids)
+        if len(children) != k:
+            raise ValueError(
+                f"{kind.name} arity {k} but {len(children)} children")
+        for ch in children:
+            if not 0 <= ch < nid:
+                raise ValueError(f"child id {ch} does not precede node {nid}")
+        if not children:
+            kind, dvar = (NodeKind.TRUE if tag == "A" else NodeKind.FALSE), 0
+        nodes.append(CircuitNode(nid, kind, children, decision_var=dvar))
+
+    _read_lines(text, "NNF", line)
+    if not header:
+        raise CircuitError("empty NNF input")
+    if len(nodes) != header[0]:
         raise CircuitError(
-            f"header declares {n_nodes} nodes but file contains {len(nodes)}")
+            f"header declares {header[0]} nodes but file contains {len(nodes)}")
     if not nodes:
         raise CircuitError("circuit has no nodes")
-    return Circuit(nodes, root=len(nodes) - 1, var_count=n_vars)
-
-
-def _check_children(ids: Sequence[int], nid: int, lineno: int) -> None:
-    for c in ids:
-        if c < 0 or c >= nid:
-            raise CircuitError(
-                f"line {lineno}: child id {c} does not precede node {nid}")
+    return Circuit(nodes, root=len(nodes) - 1, var_count=header[2])
 
 
 def format_nnf(c: Circuit) -> str:
@@ -429,30 +424,30 @@ def parse_label_table(text: str) -> LabelTable:
     One line per variable: ``var alpha_pos alpha_neg base_rate prior_weight``
     (the last two fields optional, defaulting to 0.5 and 2).  The token
     ``inf`` for alpha_pos (alpha_neg) denotes the certain-true
-    (certain-false) sentinel.
+    (certain-false) sentinel; the other alpha must still be finite and > 0.
     """
     table = LabelTable()
-    for i, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        toks = ln.split()
-        if len(toks) < 3:
-            raise CircuitError(f"label table line {i}: expected at least 3 fields")
-        try:
-            var = int(toks[0])
-            base = float(toks[3]) if len(toks) > 3 else 0.5
-            weight = float(toks[4]) if len(toks) > 4 else 2.0
-            ap, an = toks[1], toks[2]
-            if ap == "inf":
-                label = BetaLabel.certain_true(base, weight)
-            elif an == "inf":
-                label = BetaLabel.certain_false(base, weight)
-            else:
-                label = BetaLabel(float(ap), float(an), base, weight)
-            table.set(var, label)
-        except ValueError as exc:
-            raise CircuitError(f"label table line {i}: {exc}") from exc
+
+    def line(toks: list[str]) -> None:
+        if not 3 <= len(toks) <= 5:
+            raise ValueError(f"expected 3 to 5 fields, got {len(toks)}")
+        var, ap, an = int(toks[0]), toks[1], toks[2]
+        if var in table:
+            raise ValueError(f"second line for variable {var}")
+        base = float(toks[3]) if len(toks) > 3 else 0.5
+        weight = float(toks[4]) if len(toks) > 4 else 2.0
+        if "inf" in (ap, an):
+            other = float(an if ap == "inf" else ap)
+            if not 0.0 < other < math.inf:
+                raise ValueError(f"the alpha beside inf must be finite and "
+                                 f"> 0, got {other}")
+            label = (BetaLabel.certain_true if ap == "inf"
+                     else BetaLabel.certain_false)(base, weight)
+        else:
+            label = BetaLabel(float(ap), float(an), base, weight)
+        table.set(var, label)
+
+    _read_lines(text, "label table", line)
     return table
 
 
@@ -478,19 +473,19 @@ def parse_condition_file(text: str) -> tuple[Optional[int], list[tuple[int, bool
     """
     query: Optional[int] = None
     evidence: list[tuple[int, bool]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        toks = ln.split()
+
+    def line(toks: list[str]) -> None:
+        nonlocal query
         if toks[0] == "evidence" and len(toks) == 3 and toks[2] in ("0", "1"):
             evidence.append((int(toks[1]), toks[2] == "1"))
         elif toks[0] == "query" and len(toks) == 2:
             if query is not None:
-                raise CircuitError(f"condition file line {i}: second query line")
+                raise ValueError("second query line")
             query = int(toks[1])
         else:
-            raise CircuitError(f"condition file line {i}: malformed line {ln!r}")
+            raise ValueError(f"malformed line {' '.join(toks)!r}")
+
+    _read_lines(text, "condition file", line)
     return query, evidence
 
 

@@ -68,7 +68,7 @@ from typing import Iterable, Optional
 from . import betacalc
 from .betacalc import BetaLabel, Moments
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable,
-                      NodeKind, query_literals)
+                      NodeKind, _read_lines, query_literals)
 from .semirings import InconsistentEvidenceError
 
 
@@ -125,22 +125,24 @@ class LeafCovariance:
 
 
 def parse_leaf_cov(text: str) -> LeafCovariance:
-    """Parse triplet lines ``lit_i lit_j cov`` into a LeafCovariance."""
+    """Parse triplet lines ``lit_i lit_j cov``, one per pair of variables."""
     cov = LeafCovariance()
-    for i, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        toks = ln.split()
+    pairs: set[frozenset[int]] = set()
+
+    def line(toks: list[str]) -> None:
         if len(toks) != 3:
-            raise CircuitError(f"leaf covariance line {i}: expected 3 fields")
-        try:
-            value = float(toks[2])
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite covariance {toks[2]}")
-            cov.set(int(toks[0]), int(toks[1]), value)
-        except ValueError as exc:
-            raise CircuitError(f"leaf covariance line {i}: {exc}") from exc
+            raise ValueError("expected 3 fields")
+        value = float(toks[2])
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite covariance {toks[2]}")
+        lit_i, lit_j = int(toks[0]), int(toks[1])
+        pair = frozenset((abs(lit_i), abs(lit_j)))
+        if pair in pairs:
+            raise ValueError(f"second line for variables {sorted(pair)}")
+        cov.set(lit_i, lit_j, value)
+        pairs.add(pair)
+
+    _read_lines(text, "leaf covariance", line)
     return cov
 
 

@@ -263,37 +263,29 @@ class MetricsReport:
         """
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        names = sorted(self.backends)
-
-        with open(outdir / "rmse.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["backend", "n_ins", "trials", "failures",
-                        "actual_rmse", "predicted_rmse"])
-            for n in names:
-                m = self.backends[n]
-                w.writerow([n, self.config.n_ins, m.trials, m.failures,
-                            _fmt(m.actual_rmse), _fmt(m.predicted_rmse)])
-
-        with open(outdir / "calibration.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["backend", "gamma", "coverage"])
-            for n in names:
-                for g in self.config.gammas:
-                    w.writerow([n, _fmt(g), _fmt(self.backends[n].coverage[g])])
-
-        with open(outdir / "correlation.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["backend", "pearson_r"])
-            for n in names:
-                r = self.backends[n].pearson_r
-                w.writerow([n, "undefined" if r is None else _fmt(r)])
-
-        with open(outdir / "timing.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["backend"] + list(_QUANTILES))
-            for n in names:
-                tq = self.backends[n].timing_quantiles
-                w.writerow([n] + [_fmt(tq[q]) for q in _QUANTILES])
+        rows = sorted(self.backends.items())
+        cfg = self.config
+        tables = {
+            "rmse.csv": (["backend", "n_ins", "trials", "failures",
+                          "actual_rmse", "predicted_rmse"],
+                         [[n, cfg.n_ins, m.trials, m.failures,
+                           _fmt(m.actual_rmse), _fmt(m.predicted_rmse)]
+                          for n, m in rows]),
+            "calibration.csv": (["backend", "gamma", "coverage"],
+                                [[n, _fmt(g), _fmt(m.coverage[g])]
+                                 for n, m in rows for g in cfg.gammas]),
+            "correlation.csv": (["backend", "pearson_r"],
+                                [[n, "undefined" if m.pearson_r is None
+                                  else _fmt(m.pearson_r)] for n, m in rows]),
+            "timing.csv": (["backend", *_QUANTILES],
+                           [[n, *(_fmt(m.timing_quantiles[q])
+                                  for q in _QUANTILES)] for n, m in rows]),
+        }
+        for name, (header, body) in tables.items():
+            with open(outdir / name, "w", newline="") as f:
+                w = csv.writer(f)
+                w.writerow(header)
+                w.writerows(body)
 
 
 def _fmt(x: float) -> str:

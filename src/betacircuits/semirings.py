@@ -54,7 +54,6 @@ class SemiringSpec:
     times: Callable
     divide: Callable
     from_label: Callable[[BetaLabel], object]
-    is_zero: Callable[[object], bool]
     to_label: Callable[[object], BetaLabel]
     mean_of: Callable[[object], float]
 
@@ -65,7 +64,7 @@ class SemiringSpec:
 
 def _prob_divide(a: float, b: float) -> float:
     if b == 0.0:
-        raise InconsistentEvidenceError("zero-probability evidence")
+        raise InconsistentEvidenceError("inconsistent evidence")
     return a / b
 
 
@@ -79,7 +78,6 @@ def prob_semiring() -> SemiringSpec:
         times=lambda a, b: a * b,
         divide=_prob_divide,
         from_label=lambda lab: lab.mean,
-        is_zero=lambda v: v == 0.0,
         to_label=lambda v: betacalc.moment_match(Moments(v, 0.0)),
         mean_of=lambda v: v,
     )
@@ -89,37 +87,37 @@ def prob_semiring() -> SemiringSpec:
 # Subjective-logic opinions
 # ---------------------------------------------------------------------
 
-def _sl_is_zero(x: Opinion) -> bool:
+def _is_sl_zero(x: Opinion) -> bool:
     # Both identities have u = 0; most opinions fail that first, cheap test.
     return x.uncertainty == 0.0 and x == SL_ZERO
 
 
-def _sl_is_one(x: Opinion) -> bool:
+def _is_sl_one(x: Opinion) -> bool:
     return x.uncertainty == 0.0 and x == SL_ONE
 
 
 def _sl_plus(a: Opinion, b: Opinion) -> Opinion:
-    if _sl_is_zero(a):
+    if _is_sl_zero(a):
         return b
-    if _sl_is_zero(b):
+    if _is_sl_zero(b):
         return a
     return betacalc.sl_sum(a, b)
 
 
 def _sl_times(a: Opinion, b: Opinion) -> Opinion:
-    if _sl_is_one(a):
+    if _is_sl_one(a):
         return b
-    if _sl_is_one(b):
+    if _is_sl_one(b):
         return a
-    if _sl_is_zero(a) or _sl_is_zero(b):
+    if _is_sl_zero(a) or _is_sl_zero(b):
         return SL_ZERO
     return betacalc.sl_product(a, b)
 
 
 def _sl_divide(a: Opinion, b: Opinion) -> Opinion:
-    if _sl_is_zero(b):
-        raise InconsistentEvidenceError("zero-probability evidence")
-    if _sl_is_one(b):
+    if _is_sl_zero(b):
+        raise InconsistentEvidenceError("inconsistent evidence")
+    if _is_sl_one(b):
         return a
     if a == b:
         # Query implied by the evidence: conditional is certainly true.
@@ -138,7 +136,6 @@ def sl_semiring() -> SemiringSpec:
         times=_sl_times,
         divide=_sl_divide,
         from_label=betacalc.to_opinion,
-        is_zero=_sl_is_zero,
         to_label=betacalc.from_opinion,
         mean_of=lambda v: v.projected,
     )
@@ -154,7 +151,7 @@ MM_ONE = Moments(1.0, 0.0)
 
 def _mm_divide(a: Moments, b: Moments) -> Moments:
     if b.mean == 0.0:
-        raise InconsistentEvidenceError("zero-probability evidence")
+        raise InconsistentEvidenceError("inconsistent evidence")
     if b == MM_ONE:
         return a
     if a.mean == b.mean and a.variance == b.variance:
@@ -178,7 +175,6 @@ def mm_semiring() -> SemiringSpec:
         times=betacalc.mm_product,
         divide=_mm_divide,
         from_label=lambda lab: lab.moments(),
-        is_zero=lambda v: v.mean == 0.0,
         to_label=betacalc.moment_match,
         mean_of=lambda v: v.mean,
     )
@@ -196,14 +192,12 @@ def conditioned_eval_queries(c: Circuit, spec: SemiringSpec,
     ``c``'s staged query, if any, is ignored; ``queries`` are query
     literals.  One ``eval_queries`` call gives the evidence and every
     query's joint, converting each literal's label once, and each query
-    adds one division.  Raises InconsistentEvidenceError when the evidence
-    evaluates to the additive identity.
+    adds one division, which raises InconsistentEvidenceError when the
+    evidence evaluates to the additive identity.
     """
     ev, joints = eval_queries(
         c, query_literals(c, queries), spec.zero, spec.one, spec.plus,
         spec.times, cache(lambda lit: spec.from_label(labels.label_of(lit))))
-    if spec.is_zero(ev):
-        raise InconsistentEvidenceError("inconsistent evidence")
     return {q: spec.divide(joint, ev) for q, joint in joints.items()}
 
 

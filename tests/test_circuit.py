@@ -4,6 +4,7 @@ import gc
 import itertools
 import operator
 import random
+import re
 import time
 import weakref
 
@@ -18,7 +19,7 @@ from betacircuits.circuit import (
     format_nnf, parse_condition_file, parse_label_table, parse_nnf,
     _Schedule, set_condition, truth_value, validate)
 from betacircuits.compile import Theory, f_iff, f_not, f_var, shannon_compile
-from betacircuits.cpb import eval_cov_queries
+from betacircuits.cpb import eval_cov_queries, parse_leaf_cov
 from betacircuits.examples import (BUILTIN_MODELS, BURGLARY_NNF,
                                    burglary_circuit, burglary_labels)
 from betacircuits.mc import mc_eval
@@ -170,6 +171,13 @@ class TestParsing:
     def test_comment_lines_ignored(self):
         c = parse_nnf("c a comment\nnnf 1 0 1\nL 1\n")
         assert len(c) == 1
+
+    def test_hash_and_c2d_comments_in_burglary(self):
+        # README promises "#" comments in every format; c2d writes "c".
+        header, *body = format_nnf(burglary_circuit()).splitlines()
+        text = "\n".join(["c compiled by c2d", "# burglary", header,
+                          "  # leaves", *body[:3], "c gates", *body[3:]])
+        assert parse_nnf(text).nodes == burglary_circuit().nodes
 
 
 class TestValidation:
@@ -511,6 +519,17 @@ class TestLabelTable:
         with pytest.raises(CircuitError, match="line 2: variable ids"):
             parse_label_table("1 2 18\n-1 2 3\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("1 inf x\n", 1), ("1 x inf\n", 1), ("1 inf -3\n", 1),
+        ("1 inf inf\n", 1), ("1 2 3 0.5 2 junk\n", 1),
+        ("1 2 18\n2 2 8\n# again\n1 3 4\n", 4)])
+    def test_misread_lines_rejected(self, text, line):
+        # Each of these loaded before: the extra field or the field beside
+        # "inf" was dropped, "inf inf" read as certain true, and the last
+        # line for a variable won.
+        with pytest.raises(CircuitError, match=f"^label table line {line}: "):
+            parse_label_table(text)
+
 
 class TestConditionFile:
     def test_parse(self):
@@ -529,3 +548,45 @@ class TestConditionFile:
         # Only 0 and 1 are evidence values; "true" is not read as false.
         with pytest.raises(CircuitError, match="line 2"):
             parse_condition_file("query 1\nevidence 1 true\n")
+
+    @pytest.mark.parametrize("text", ["# x\nevidence x 1\n",
+                                      "evidence 1 1\nquery y\n"])
+    def test_non_integer_variable_names_its_line(self, text):
+        # Before, int() raised a bare ValueError with no line number.
+        with pytest.raises(CircuitError, match="^condition file line 2: "):
+            parse_condition_file(text)
+
+
+# Burglary's four input files, as ``infer`` reads them.
+BURGLARY_INPUTS = {
+    parse_nnf: format_nnf(burglary_circuit()),
+    parse_label_table: format_label_table(burglary_labels()),
+    parse_condition_file: "# a call was heard\nevidence 2 0\nquery 1\n",
+    parse_leaf_cov: "# cross entries\n1 2 0.001\n-1 3 0.002\n",
+}
+# The NNF parser's whole-file checks, the only errors with no line.
+UNNUMBERED = ("empty NNF input", "header declares", "circuit has no nodes")
+
+
+def test_single_token_edits_fail_with_a_line_number():
+    # Seeded edits: delete, duplicate or replace one token.  Each parse
+    # returns or raises CircuitError, never a bare ValueError.
+    rng = random.Random(25)
+    for _ in range(400):
+        parse, text = rng.choice(list(BURGLARY_INPUTS.items()))
+        lines = [ln.split() for ln in text.splitlines()]
+        toks = rng.choice(lines)
+        j = rng.randrange(len(toks))
+        edit = rng.choice(["delete", "duplicate", "x", "inf", "0", "-1", "#"])
+        if edit == "delete":
+            del toks[j]
+        elif edit == "duplicate":
+            toks.insert(j, toks[j])
+        else:
+            toks[j] = edit
+        mutated = "\n".join(" ".join(t) for t in lines) + "\n"
+        try:
+            parse(mutated)
+        except CircuitError as exc:
+            assert (re.search(r"line \d+: ", str(exc))
+                    or str(exc).startswith(UNNUMBERED)), (mutated, exc)

@@ -192,6 +192,28 @@ class TestInfer:
             assert (rc, out) == (2, "")
             assert err.startswith("error: leaf covariance line 2:")
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--labels", "1 2 18\n2 2 8\n3 inf x\n", "label table line 3: "),
+        ("--labels", "1 inf inf\n2 2 8\n", "label table line 1: "),
+        ("--labels", "1 2 18 0.5 2 8\n", "label table line 1: "),
+        ("--labels", "1 2 18\n2 2 8\n1 2 8\n", "label table line 3: "),
+        ("--evidence", "evidence x 1\n", "condition file line 1: "),
+        ("--evidence", "# q\nquery y\n", "condition file line 2: "),
+        ("--cov", "1 2 0.001\n2 1 0.002\n", "leaf covariance line 2: ")])
+    def test_misread_inputs_exit_2(self, burglary_files, tmp_path, capsys,
+                                   flag, text, message):
+        # Before, the label and covariance files answered with a field or
+        # a line dropped, and the condition files gave no line number.
+        circuit, labels = burglary_files
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        files = {"--labels": labels, flag: bad}
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--query", "1", "--backend", "cpb",
+                           *(x for item in files.items() for x in item))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: " + message)
+
     @pytest.mark.parametrize("line", ["evidence 0 1", "evidence 9 1",
                                       "evidence -9 0"])
     def test_evidence_variable_out_of_range(self, burglary_files, tmp_path,

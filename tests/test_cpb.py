@@ -88,6 +88,14 @@ class TestLeafCovariance:
         with pytest.raises(CircuitError, match="line 1"):
             parse_leaf_cov("1 -1 0.5\n")
 
+    def test_second_line_for_a_pair_rejected(self):
+        # Before, the last line for a pair of variables won.
+        with pytest.raises(CircuitError, match="^leaf covariance line 2: "
+                           "second line for variables \\[1, 2\\]"):
+            parse_leaf_cov("1 2 0.1\n2 1 0.2\n")
+        with pytest.raises(CircuitError, match="^leaf covariance line 3: "):
+            parse_leaf_cov("1 2 0.1\n1 3 0.1\n-2 -1 0.1\n")
+
 
 class TestShadowing:
     def test_burglary_shadow_set(self):
