@@ -25,7 +25,8 @@ time, as soon as each is ready, and each value is dropped after its last
 fold, so a wide gate never holds all its children.  ``eval_queries`` runs
 the pass for every value domain (point probabilities, opinions, moment
 pairs, Monte Carlo sample arrays); cpb's forward pass runs it on float
-means and ``validate`` on truth-table bitsets, both keeping every value.
+means and ``validate`` on truth-table bitsets, both keeping every value;
+``_Schedule.adjoints`` reads the same folds in reverse for cpb.
 
 File format (c2d-style NNF text):
 
@@ -44,7 +45,8 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .betacalc import BetaLabel
 
@@ -504,13 +506,14 @@ _TIMES, _PLUS, _COPY, _DROP, _LEAF, _ZERO, _ONE = range(7)
 class _Schedule:
     """One lockstep pass: the evidence sweep and every query's joint sweep.
 
-    ``order`` lists the nodes that reach the root, in id order (children
-    first), and ``leaves`` its literal leaves with lambda = 1: the only
-    nodes whose values the pass reads from ``leaf``.  ``joint[q]`` maps
-    each node that query q recomputes (the ``leaves`` of literal -q and
-    their ancestors, in id order) to the slot of its joint value; slot i
-    holds node i's evidence value, which every other node of the joint
-    sweep reads.  ``steps`` reads ``leaves`` once each, in id order
+    ``folds`` maps each sweep's gates, in id order, to their folds (slot,
+    op, child slots): the evidence sweep's (the gates that reach the root),
+    then each query's joint sweep's.  ``leaves`` are the literal leaves
+    with lambda = 1 that reach the root: the only ones read from ``leaf``.
+    ``joint[q]`` maps each node that query q recomputes (the ``leaves`` of
+    literal -q and their ancestors, in id order) to the slot of its joint
+    value; slot i holds node i's evidence value, which every other node of
+    the joint sweep reads.  ``steps`` reads ``leaves`` once each, in id order
     (Monte Carlo draws each variable at its first read), and folds each
     gate of each sweep into its slot in file order, one child per step:
     the step that folds child k runs as soon as that child's value and the
@@ -521,7 +524,7 @@ class _Schedule:
     collector.
     """
 
-    order: list[int]
+    folds: list[dict[int, tuple[int, int, tuple[int, ...]]]]
     leaves: list[int]
     joint: dict[int, dict[int, int]]
     steps: list[tuple[int, int, int]]
@@ -548,31 +551,31 @@ class _Schedule:
         leaves = [i for i in order if nodes[i].kind is NodeKind.LITERAL
                   and nodes[i].lam != 0]
         # Every gate of the evidence sweep: its id, fold step and children.
-        gates = [(i, _TIMES if nodes[i].kind is NodeKind.AND else _PLUS,
-                  nodes[i].children) for i in order if nodes[i].children]
+        gates = {i: (i, _TIMES if nodes[i].kind is NodeKind.AND else _PLUS,
+                     nodes[i].children) for i in order if nodes[i].children}
         joint: dict[int, dict[int, int]] = {}
         size = len(nodes)
         for q in queries:
             # Children come first, so one scan in id order finds every
             # ancestor of the query's negated leaves.
             dirty = {i for i in leaves if nodes[i].literal == -q}
-            for i, _, kids in gates:
+            for i, _, kids in gates.values():
                 if not dirty.isdisjoint(kids):
                     dirty.add(i)
             joint[q] = {i: size + k for k, i in enumerate(sorted(dirty))}
             size += len(dirty)
 
         # Each query's joint sweep folds its gates into their joint slots.
-        folds = gates.copy()
-        for slots in joint.values():
-            folds += [(slots[i], op, tuple(slots.get(ch, ch) for ch in kids))
-                      for i, op, kids in gates if i in slots]
+        folds = [gates] + [
+            {i: (slots[i], op, tuple(slots.get(ch, ch) for ch in kids))
+             for i, op, kids in gates.values() if i in slots}
+            for slots in joint.values()]
         reads = [0] * size
-        waiting: dict[int, list[int]] = {}
-        for f, (_, _, kids) in enumerate(folds):
-            for ch in kids:
+        waiting: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+        for fold in chain.from_iterable(sweep.values() for sweep in folds):
+            for ch in fold[2]:
                 reads[ch] += 1
-            waiting.setdefault(kids[0], []).append(f)
+            waiting.setdefault(fold[2][0], []).append(fold)
         keep = set(tops)
         keep.update(slots[c.root] for slots in joint.values()
                     if c.root in slots)
@@ -580,7 +583,7 @@ class _Schedule:
         steps: list[tuple[int, int, int]] = []
         read = set(leaves)
         ready = [False] * size
-        done = [0] * len(folds)  # children folded so far, per fold
+        done = [0] * size  # children folded so far, per fold's slot
         for i in order:
             n = nodes[i]
             if n.children:
@@ -598,9 +601,8 @@ class _Schedule:
             while stack:
                 s = stack.pop()
                 ready[s] = True
-                for f in waiting.pop(s, ()):
-                    slot, op, kids = folds[f]
-                    k = done[f]
+                for slot, op, kids in waiting.pop(s, ()):
+                    k = done[slot]
                     while k < len(kids) and ready[kids[k]]:
                         ch = kids[k]
                         steps.append((op if k else _COPY, slot, ch))
@@ -608,12 +610,13 @@ class _Schedule:
                         if not reads[ch] and ch not in keep:
                             steps.append((_DROP, ch, 0))
                         k += 1
-                    done[f] = k
+                    done[slot] = k
                     if k == len(kids):
                         stack.append(slot)
                     else:
-                        waiting.setdefault(kids[k], []).append(f)
-        return cls(order, leaves, joint, steps, size)
+                        waiting.setdefault(kids[k], []).append(
+                            (slot, op, kids))
+        return cls(folds, leaves, joint, steps, size)
 
     def run(self, zero, one, plus: Callable, times: Callable,
             leaf: Callable[[int], object], drop: bool = True) -> list:
@@ -641,6 +644,59 @@ class _Schedule:
             else:
                 values[slot] = zero if op == _ZERO else one
         return values
+
+    def adjoints(self, values: list,
+                 tops: Iterable[int]) -> Iterator[list[float]]:
+        """Per slot of ``tops``, every slot's adjoint d top / d slot.
+
+        ``values`` are ``run``'s on floats with ``drop=False``.  Each AND's
+        weights dn/dc, the leave-one-out products of its children's values,
+        are formed once.  A top's sweep visits the evidence gates last to
+        first, each as its fold in the top's joint sweep if that recomputes
+        it: an OR passes its adjoint to each child, and an AND multiplies it
+        by the child's weight.
+        """
+        weights = {slot: _leave_one_out([values[ch] for ch in kids])
+                   for sweep in self.folds for slot, op, kids in sweep.values()
+                   if op == _TIMES}
+        own = {fold[0]: sweep for sweep in self.folds[1:]
+               for fold in sweep.values()}
+        for top in tops:
+            sweep = own.get(top, {})
+            adjoint = [0.0] * self.size
+            adjoint[top] = 1.0
+            for i, fold in reversed(self.folds[0].items()):
+                slot, op, kids = sweep.get(i, fold)
+                a = adjoint[slot]
+                if a == 0.0:
+                    continue
+                if op == _PLUS:
+                    for ch in kids:
+                        adjoint[ch] += a
+                else:
+                    for ch, w in zip(kids, weights[slot]):
+                        adjoint[ch] += a * w
+            yield adjoint
+
+
+def _leave_one_out(xs: list[float]) -> list[float]:
+    """Each entry's product of the other entries: an AND's weights dn/dc.
+
+    The leave-one-out product equals prod(xs)/x_c whenever x_c != 0 and is
+    its algebraic limit otherwise (the zero-mean rule), so no division by
+    zero can occur.  Two children, the common case, need no prefix and
+    suffix products; the two forms agree bit for bit.
+    """
+    k = len(xs)
+    if k == 2:
+        return [xs[1], xs[0]]
+    prefix = [1.0] * (k + 1)
+    for i in range(k):
+        prefix[i + 1] = prefix[i] * xs[i]
+    suffix = [1.0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * xs[i]
+    return [prefix[i] * suffix[i + 1] for i in range(k)]
 
 
 def eval_queries(c: Circuit, queries: Iterable[int], zero, one,

@@ -24,9 +24,9 @@ networks", JACM 2003).  The forward pass is one run of
 ``Circuit.schedule``'s lockstep pass, the one bottom-up fold behind every
 backend, with sums and products of floats and every node mean kept: Y's
 means come from its evidence sweep, and each query's X recomputes only
-the ancestors of its negated leaves.  Every reverse pass
-walks all nodes that reach the root and forms each gate's child weights
-dn/dc from the means on its way down.  The gate rules are:
+the ancestors of its negated leaves.  The reverse pass is
+the schedule's ``adjoints``, one sweep from each root, which forms each
+gate's child weights dn/dc once per call from the means.  The rules are:
 
 * OR gates (children mutually exclusive, so the sum is literal):
   E[n] = sum_c E[c], folded in file order, with weight dn/dc = 1.
@@ -67,8 +67,8 @@ from typing import Iterable, Optional
 
 from . import betacalc
 from .betacalc import BetaLabel, Moments
-from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable,
-                      NodeKind, _read_lines, query_literals)
+from .circuit import (Circuit, CircuitError, LabelTable, _read_lines,
+                      query_literals)
 from .semirings import InconsistentEvidenceError
 
 
@@ -182,59 +182,6 @@ class QueryResult:
     variance_clamped: bool = False
 
 
-def _leave_one_out(xs: list[float]) -> list[float]:
-    """Each entry's product of the other entries: an AND's weights dn/dc.
-
-    The leave-one-out product equals prod(xs)/x_c whenever x_c != 0 and is
-    its algebraic limit otherwise (the zero-mean rule), so no division by
-    zero can occur.  Two children, the common case, need no prefix and
-    suffix products; the two forms agree bit for bit.
-    """
-    k = len(xs)
-    if k == 2:
-        return [xs[1], xs[0]]
-    prefix = [1.0] * (k + 1)
-    for i in range(k):
-        prefix[i + 1] = prefix[i] * xs[i]
-    suffix = [1.0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * xs[i]
-    return [prefix[i] * suffix[i + 1] for i in range(k)]
-
-
-def _gradient(c: Circuit, order: list[int], means: list[float],
-              leaves: list[CircuitNode]) -> dict[int, float]:
-    """The root's derivative with respect to each variable of ``leaves``.
-
-    One reverse pass over ``order`` accumulates the adjoints d root / d
-    node from the node ``means``: an OR passes its adjoint to each child
-    unchanged, and an AND multiplies it by the leave-one-out product of its
-    other children's means.  A variable's derivative is the adjoint sum
-    over its positive ``leaves`` minus that over its negative ones, since
-    a negative leaf carries 1 - theta.
-    """
-    nodes = c.nodes
-    adjoint = [0.0] * len(c)
-    adjoint[c.root] = 1.0
-    for nid in reversed(order):
-        a = adjoint[nid]
-        if a == 0.0:
-            continue
-        node = nodes[nid]
-        if node.kind is NodeKind.OR:
-            for ch in node.children:
-                adjoint[ch] += a
-        elif node.kind is NodeKind.AND:
-            weights = _leave_one_out([means[ch] for ch in node.children])
-            for ch, w in zip(node.children, weights):
-                adjoint[ch] += a * w
-    grad: dict[int, float] = {}
-    for leaf in leaves:
-        d = adjoint[leaf.id] if leaf.literal > 0 else -adjoint[leaf.id]
-        grad[leaf.var] = grad.get(leaf.var, 0.0) + d
-    return grad
-
-
 def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
                      leaf_cov: Optional[LeafCovariance] = None
                      ) -> dict[int, QueryResult]:
@@ -244,48 +191,51 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     query, if any, is ignored.  ``queries`` are query literals; the result
     maps each to its answer.  The denominator Y is the root as is, and a
     query's numerator X is the root with that query's negated leaves
-    pinned to 0.  One run of ``c.schedule(queries)`` gives Y's node means
-    and every query's ``joint`` node means; (E[Y], g_Y) are computed once,
-    and each query copies Y's means, overwrites its ``joint`` nodes and
-    adds one reverse pass.  With
+    pinned to 0.  One run of ``c.schedule(queries)`` gives every node mean
+    of Y and of each X, and its ``adjoints`` g_Y and each g_X.  With
     mu = E[X]/E[Y], the ratio gradient is rho = (g_X - mu g_Y)/E[Y] and
     the variance is rho' S rho, where S holds the label variances on its
     diagonal and ``leaf_cov``'s cross entries off it (default: independent
-    leaves).  O(n) time and memory per query.  An error of the evidence
-    (E[Y] zero or subnormal) raises before any query is answered.
+    leaves); an entry past sqrt(var_i var_j), a correlation outside
+    [-1, 1], raises ValueError.  O(n) time and memory per query.  An error
+    of the evidence (E[Y] zero or subnormal) raises before any query is
+    answered.
     """
     queries = query_literals(c, queries)
+    cross = leaf_cov.cross_entries if leaf_cov is not None else {}
+    for (i, j), cij in cross.items():
+        limit = math.sqrt(labels.variance_of(i) * labels.variance_of(j))
+        if abs(cij) > limit:
+            raise ValueError(f"covariance {cij!r} of variables {i} and {j} "
+                             f"exceeds sqrt(var[{i}] var[{j}]) = {limit!r}")
     plan = c.schedule(queries)
-    nodes = c.nodes
     values = plan.run(0.0, 1.0, operator.add, operator.mul, labels.mean_of,
                       drop=False)
-    means = values[:len(c)]
-    mean_den = means[c.root]
+    mean_den = values[c.root]
     if mean_den == 0.0:
         raise InconsistentEvidenceError("inconsistent evidence")
     if mean_den < sys.float_info.min:
         # A subnormal E[Y] and its gradients keep too few bits for rho.
         raise ArithmeticError(f"E[evidence] = {mean_den!r} is subnormal")
-    # The leaves the pass reads: the only nodes with leaf-level cov.
-    leaves = [nodes[i] for i in plan.leaves]
-    g_den = _gradient(c, plan.order, means, leaves)
+    # The leaves the pass reads; a negative one carries 1 - theta.
+    leaves = [(i, c.nodes[i].var, 1.0 if c.nodes[i].literal > 0 else -1.0)
+              for i in plan.leaves]
+
+    def by_variable(adjoint: list[float]) -> dict[int, float]:
+        grad: dict[int, float] = {}
+        for i, v, sign in leaves:
+            grad[v] = grad.get(v, 0.0) + sign * adjoint[i]
+        return grad
+
+    tops = [c.root] + [plan.joint[q].get(c.root, c.root) for q in queries]
+    g_den, *g_nums = map(by_variable, plan.adjoints(values, tops))
     out = {}
-    for q in queries:
-        # X's means are Y's but on the query's joint nodes.
-        means_num = means.copy()
-        for i, slot in plan.joint[q].items():
-            means_num[i] = values[slot]
-        mean = means_num[c.root] / mean_den
-        # The pinned leaves are constants and contribute no derivative.
-        g_num = _gradient(c, plan.order, means_num,
-                          [leaf for leaf in leaves if leaf.literal != -q])
-        # The numerator's leaves are a subset of the denominator's.
-        rho = {v: (g_num.get(v, 0.0) - mean * d) / mean_den
-               for v, d in g_den.items()}
+    for q, top, g_num in zip(queries, tops[1:], g_nums):
+        mean = values[top] / mean_den
+        rho = {v: (g_num[v] - mean * d) / mean_den for v, d in g_den.items()}
         terms = [labels.variance_of(v) * r * r for v, r in rho.items()]
-        if leaf_cov is not None:
-            terms += [2.0 * cij * rho.get(i, 0.0) * rho.get(j, 0.0)
-                      for (i, j), cij in leaf_cov.cross_entries.items()]
+        terms += [2.0 * cij * rho.get(i, 0.0) * rho.get(j, 0.0)
+                  for (i, j), cij in cross.items()]
         var = math.fsum(terms)
         bound = max(mean, 0.0) * max(1.0 - mean, 0.0)
         clamped = not 0.0 <= var <= bound

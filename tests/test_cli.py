@@ -261,6 +261,23 @@ class TestInfer:
         assert (rc, out) == (2, "")
         assert err == "error: leaf covariance line 2: 0 is not a literal\n"
 
+    @pytest.mark.parametrize("line, value", [("1 2 0.5", "0.5"),
+                                             ("-1 2 0.0079", "-0.0079")])
+    def test_cov_beyond_the_labels_is_rejected(self, burglary_files, tmp_path,
+                                               capsys, line, value):
+        # |cov| may not pass sqrt(var[1] var[2]) = 0.00790: a correlation
+        # outside [-1, 1].  Before, "1 2 0.5" answered variance 0.0 with
+        # alphas near 1e12 and exit 0.
+        circuit, labels = burglary_files
+        cov = tmp_path / "leaf.cov"
+        cov.write_text(line + "\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "1",
+                           "--backend", "cpb", "--cov", cov)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: covariance {value} of variables 1 and 2 "
+                       "exceeds sqrt(var[1] var[2]) = 0.007895420339517229\n")
+
     @pytest.mark.parametrize("backend", ["prob", "sl", "mm", "mc"])
     def test_cov_needs_cpb(self, burglary_files, tmp_path, capsys, backend):
         circuit, labels = burglary_files

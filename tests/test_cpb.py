@@ -27,7 +27,7 @@ from dense_reference import conditioned_moments, moment_sweep
 # Frozen oracle values for the burglary query (derived from independent
 # hand arithmetic, enumeration, and the point-probability backend).
 BURGLARY_MEAN = 0.3571428571428571          # = 5/14
-BURGLARY_VAR = 0.04705831444690252          # first-order covariance sweep
+BURGLARY_VAR = 0.04705831444690252          # first-order delta method
 
 
 def staged_burglary():
@@ -87,6 +87,22 @@ class TestLeafCovariance:
             parse_leaf_cov("1 2\n")
         with pytest.raises(CircuitError, match="line 1"):
             parse_leaf_cov("1 -1 0.5\n")
+
+    def test_entry_beyond_the_labels_rejected(self):
+        # |cov[i, j]| <= sqrt(var[i] var[j]): the correlation lies in
+        # [-1, 1].  An unlabelled variable is certain, with variance 0.
+        labels = burglary_labels()
+        limit = math.sqrt(labels.variance_of(1) * labels.variance_of(2))
+        c = burglary_circuit()
+        for value in (limit, -limit):
+            eval_cov_queries(c, (1,), labels, LeafCovariance({(1, 2): value}))
+        for entry, value, pair in (((1, 2), 1.001 * limit, "1 and 2"),
+                                   ((-2, 1), 1.001 * limit, "1 and 2"),
+                                   ((3, 9), 1e-12, "3 and 9")):
+            with pytest.raises(ValueError, match=f"^covariance .* of "
+                               f"variables {pair} exceeds sqrt"):
+                eval_cov_queries(c, (1,), labels,
+                                 LeafCovariance({entry: value}))
 
     def test_second_line_for_a_pair_rejected(self):
         # Before, the last line for a pair of variables won.
@@ -156,6 +172,29 @@ class TestPasses:
                                                  gates):
         assert self.gates_evaluated(monkeypatch, make_block_nnf(3),
                                     queries) == gates
+
+    @pytest.mark.parametrize("queries, and_folds", [
+        # Y's 7 ANDs, then per query the ANDs among its joint gates: its
+        # block's AND and the root.  Forming every AND's weights in every
+        # reverse pass made 14 and 35.
+        ((1,), 7 + 2),
+        ((1, -1, 4, 2), 7 + 2 + 2 + 2 + 0),
+    ])
+    def test_and_weights_formed_once_per_call(self, monkeypatch,
+                                              make_block_nnf, queries,
+                                              and_folds):
+        formed = []
+        leave_one_out = circuit._leave_one_out
+        monkeypatch.setattr(circuit, "_leave_one_out",
+                            lambda xs: formed.append(xs) or leave_one_out(xs))
+        c = parse_nnf(make_block_nnf(3))
+        labels = LabelTable({v: BetaLabel(3, 2)
+                             for v in range(1, c.var_count + 1)})
+        eval_cov_queries(c, queries, labels)
+        folds = c.schedule(queries).folds
+        assert len(formed) == and_folds == sum(
+            op == circuit._TIMES
+            for sweep in folds for _, op, _ in sweep.values())
 
     def test_gate_that_misses_the_root_is_not_evaluated(self, monkeypatch):
         # Gate 3 reads the negated query leaf but no path leads from it to

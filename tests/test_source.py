@@ -28,6 +28,17 @@ def test_no_scipy_import():
     assert hits == []
 
 
+def test_only_circuit_reads_children():
+    # A gate's children are read in circuit.py only: every other module
+    # reads a pass's gates from its schedule, in either direction.
+    files = sorted(p for p in SRC.rglob("*.py") if p.name != "circuit.py")
+    assert files
+    hits = [f"{p.relative_to(SRC)}:{node.lineno}" for p in files
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "children"]
+    assert hits == []
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names that ``source`` binds by import but never reads, leaving out
     ``__future__`` imports and names listed in ``__all__``."""
