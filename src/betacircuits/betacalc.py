@@ -187,6 +187,16 @@ class BetaLabel:
         return Moments(self.mean, self.variance)
 
 
+@dataclass
+class QueryResult:
+    """One query's answer: mean, variance and the backend's matched beta."""
+
+    mean: float
+    variance: float
+    matched: BetaLabel
+    variance_clamped: bool = False
+
+
 # ---------------------------------------------------------------------
 # Conversions
 # ---------------------------------------------------------------------

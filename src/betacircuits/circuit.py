@@ -264,10 +264,14 @@ def truth_value(c: Circuit, assignment: Mapping[int, bool]) -> bool:
     return bool(_truth_tables(c, columns, 1)[c.root])
 
 
-def validate(c: Circuit, max_check_vars: int = 16) -> ValidationReport:
+#: Past this many variables ``validate`` trusts determinism unchecked.
+MAX_CHECK_VARS = 16
+
+
+def validate(c: Circuit) -> ValidationReport:
     """Check decomposability (always exact) and determinism.
 
-    Determinism is checked exactly iff ``c.var_count <= max_check_vars``,
+    Determinism is checked exactly iff ``c.var_count <= MAX_CHECK_VARS``,
     otherwise the circuit is trusted and a warning is recorded.  The check
     is one pass that builds every node's truth table over all 2^V rows
     of its V leaf variables (n * 2^V bits of memory); an OR node is
@@ -289,11 +293,11 @@ def validate(c: Circuit, max_check_vars: int = 16) -> ValidationReport:
                         f"node {n.id}: AND children share variables {sorted(overlap)}")
                 seen |= scopes[ch]
 
-    determinism_exact = c.var_count <= max_check_vars
+    determinism_exact = c.var_count <= MAX_CHECK_VARS
     if not determinism_exact:
         warnings.append(
             f"determinism not checked: {c.var_count} variables exceeds "
-            f"max_check_vars={max_check_vars}; circuit trusted")
+            f"MAX_CHECK_VARS={MAX_CHECK_VARS}; circuit trusted")
         return ValidationReport(violations, warnings, determinism_exact)
 
     variables = sorted({n.var for n in c.nodes if n.kind is NodeKind.LITERAL})

@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import betacalc
-from .betacalc import BetaLabel, Moments
+from .betacalc import BetaLabel
 from .circuit import (CircuitError, parse_condition_file, parse_label_table,
                       parse_nnf, set_condition, validate)
 from .cpb import eval_cov, parse_leaf_cov, shadow_circuit
@@ -70,6 +69,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         print("error: --samples and --seed apply only to --backend mc",
               file=sys.stderr)
         return EXIT_VALIDATION
+    for flag, value, low in (("--samples", args.samples, 1),
+                             ("--seed", args.seed, 0)):
+        if value is not None and value < low:
+            print(f"error: {flag} must be >= {low}", file=sys.stderr)
+            return EXIT_VALIDATION
     circuit = parse_nnf(Path(args.circuit).read_text())
     report = validate(circuit)
     for w in report.warnings:
@@ -97,22 +101,17 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         cov = (parse_leaf_cov(Path(args.cov).read_text())
                if args.cov else None)
         res = eval_cov(shadow_circuit(staged), labels, cov)
-        label = res.matched
-        mean, var = res.mean, res.variance
     elif args.backend == "mc":
         res = mc_eval(staged, labels,
                       10000 if args.samples is None else args.samples,
                       seed=0 if args.seed is None else args.seed)
-        mean, var = res.mean, res.variance
-        label = betacalc.moment_match(Moments(mean, var))
     else:
         spec = {"prob": prob_semiring, "sl": sl_semiring,
                 "mm": mm_semiring}[args.backend]()
-        value = conditioned_eval(staged, spec, labels)
-        label = spec.to_label(value)
-        mean = spec.mean_of(value)
-        var = label.variance
-    print(f"{mean!r} {var!r} {_alpha(label, True)} {_alpha(label, False)}")
+        res = spec.result(conditioned_eval(staged, spec, labels))
+    label = res.matched
+    print(f"{res.mean!r} {res.variance!r} {_alpha(label, True)} "
+          f"{_alpha(label, False)}")
     return EXIT_OK
 
 

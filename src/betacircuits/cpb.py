@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import betacalc
-from .betacalc import BetaLabel, Moments
+from .betacalc import Moments, QueryResult
 from .circuit import (Circuit, CircuitError, LabelTable, _read_lines,
                       query_literals)
 from .semirings import InconsistentEvidenceError
@@ -173,14 +173,6 @@ def shadow_circuit(c: Circuit) -> ShadowedCircuit:
 # ---------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------
-
-@dataclass
-class QueryResult:
-    mean: float
-    variance: float
-    matched: BetaLabel
-    variance_clamped: bool = False
-
 
 def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
                      leaf_cov: Optional[LeafCovariance] = None

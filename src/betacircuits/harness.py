@@ -68,8 +68,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import betacalc
-from .betacalc import BetaLabel, Moments
+from .betacalc import QueryResult
 from .betadist import beta_cdf
 from .circuit import (Circuit, CircuitError, LabelTable, parse_nnf,
                       set_condition, validate)
@@ -155,7 +154,8 @@ class ExperimentConfig:
         if not isinstance(self.fast, bool):
             raise ValueError("fast must be true or false")
         for name, low in (("n_ins", 1), ("truth_draws", 1),
-                          ("repetitions", 1), ("golden_samples", 0)):
+                          ("repetitions", 1), ("seed", 0),
+                          ("golden_samples", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         g, r = self.trial_shape
@@ -191,6 +191,9 @@ class ExperimentConfig:
         try:
             for key in ("query_vars", "backends", "gammas"):
                 if key in raw:
+                    if not isinstance(raw[key], list):
+                        raise ValueError("malformed experiment config: "
+                                         f"{key} must be a JSON array")
                     raw[key] = tuple(raw[key])
             return cls(**raw)
         except TypeError as exc:
@@ -296,37 +299,28 @@ def _fmt(x: float) -> str:
 # Backend runners
 # ---------------------------------------------------------------------
 
-def _label_record(truth: float, lab: BetaLabel, mean: float, variance: float,
-                  seconds: float, golden_strength: Optional[float]
-                  ) -> TrialRecord:
+def _label_record(truth: float, res: QueryResult, seconds: float,
+                  golden_strength: Optional[float]) -> TrialRecord:
+    lab = res.matched
     if lab.certain is not None:
-        ap = an = float("inf")
-        strength = float("inf")
+        ap = an = strength = float("inf")
     else:
         ap, an, strength = lab.alpha_pos, lab.alpha_neg, lab.strength
-    return TrialRecord(truth, mean, variance, ap, an, strength, seconds,
-                       golden_strength)
+    return TrialRecord(truth, res.mean, res.variance, ap, an, strength,
+                       seconds, golden_strength)
 
 
 def _run_backend(name: str, c: Circuit, queries: tuple[int, ...],
                  labels: LabelTable, rng: np.random.Generator
-                 ) -> dict[int, tuple[BetaLabel, float, float]]:
-    """Each query's (label, mean, variance), from one call on the evidence
-    circuit ``c``."""
+                 ) -> dict[int, QueryResult]:
+    """Each query's answer, from one call on the evidence circuit ``c``."""
     if name == "cpb":
-        return {q: (r.matched, r.mean, r.variance) for q, r in
-                eval_cov_queries(c, queries, labels).items()}
+        return eval_cov_queries(c, queries, labels)
     if name.startswith("mc:"):
-        return {q: (betacalc.moment_match(Moments(r.mean, r.variance)),
-                    r.mean, r.variance) for q, r in
-                mc_eval_queries(c, queries, labels, int(name[3:]),
-                                seed=rng).items()}
+        return mc_eval_queries(c, queries, labels, int(name[3:]), seed=rng)
     spec = mm_semiring() if name == "mm" else sl_semiring()
-    out = {}
-    for q, v in conditioned_eval_queries(c, spec, labels, queries).items():
-        lab = spec.to_label(v)
-        out[q] = (lab, spec.mean_of(v), lab.variance)
-    return out
+    return {q: spec.result(v) for q, v in
+            conditioned_eval_queries(c, spec, labels, queries).items()}
 
 
 # ---------------------------------------------------------------------
@@ -418,7 +412,7 @@ def _task(job: _Job, t: int
         if job.golden_samples > 0:
             runs = mc_eval_queries(c, queries, labels, job.golden_samples,
                                    seed=np.random.default_rng(golden_seed))
-            golden = {q: mc_strength(r.samples) for q, r in runs.items()}
+            golden = {q: mc_strength(r) for q, r in runs.items()}
         mc_rng = np.random.default_rng(mc_seed)
         for b in job.backends:
             failures[b] += _answer(b, c, queries, labels, mc_rng, true_cond,
@@ -448,9 +442,7 @@ def _answer(name: str, c: Circuit, queries: tuple[int, ...],
                    for q in queries)
     dt = (time.perf_counter() - t0) / len(queries)
     for q in queries:
-        lab, mean, variance = answers[q]
-        out.append(_label_record(true_cond[q], lab, mean, variance, dt,
-                                 golden.get(q)))
+        out.append(_label_record(true_cond[q], answers[q], dt, golden.get(q)))
     return 0
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from . import betacalc
-from .betacalc import Moments
+from .betacalc import Moments, QueryResult
 from .circuit import (Circuit, LabelTable, NodeKind, eval_queries,
                       query_literals)
 from .semirings import InconsistentEvidenceError
@@ -59,10 +59,11 @@ if TYPE_CHECKING:
 MAX_REJECTION_RATE = 0.99
 
 
-@dataclass
-class MCResult:
-    mean: float
-    variance: float
+@dataclass(kw_only=True)
+class MCResult(QueryResult):
+    """A ``QueryResult`` (the ddof=1 sample variance, and the beta label
+    moment-matched to it) plus the accepted draws and the rejection count."""
+
     samples: np.ndarray
     rejections: int
 
@@ -168,7 +169,8 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
         samples = np.concatenate(accepted[q])[:n_samples]
         mean = float(np.mean(samples))
         var = float(np.var(samples, ddof=1)) if n_samples > 1 else 0.0
-        out[q] = MCResult(mean, var, samples, rejections)
+        out[q] = MCResult(mean, var, betacalc.moment_match(Moments(mean, var)),
+                          samples=samples, rejections=rejections)
     return out
 
 
@@ -186,19 +188,7 @@ def mc_eval(c: Circuit, labels: LabelTable, n_samples: int,
                            seed)[c.query_literal]
 
 
-def mc_strength(samples: np.ndarray) -> float:
-    """Dirichlet strength of the beta fitted to a sample set.
-
-    s = mean (1 - mean) / var - 1 with the usual prior floors; degenerate
-    samples (zero variance) map to the certain sentinel's infinite
-    strength.
-    """
-    import numpy as np
-
-    samples = np.asarray(samples, dtype=float)
-    mean = float(np.mean(samples))
-    var = float(np.var(samples, ddof=1)) if samples.size > 1 else 0.0
-    if var <= 0.0:
-        return float("inf")
-    label = betacalc.moment_match(Moments(mean, var))
-    return label.strength
+def mc_strength(res: QueryResult) -> float:
+    """Dirichlet strength of a Monte Carlo answer's matched beta, or the
+    certain sentinel's infinite strength at zero variance."""
+    return res.matched.strength if res.variance > 0.0 else float("inf")

@@ -30,7 +30,7 @@ from functools import cache
 from typing import Callable, Iterable
 
 from . import betacalc
-from .betacalc import BetaLabel, Moments, Opinion
+from .betacalc import BetaLabel, Moments, Opinion, QueryResult
 from .circuit import Circuit, LabelTable, eval_queries, query_literals
 
 
@@ -56,6 +56,11 @@ class SemiringSpec:
     from_label: Callable[[BetaLabel], object]
     to_label: Callable[[object], BetaLabel]
     mean_of: Callable[[object], float]
+
+    def result(self, value: object) -> QueryResult:
+        """A conditional value's answer: its mean and its label's variance."""
+        label = self.to_label(value)
+        return QueryResult(self.mean_of(value), label.variance, label)
 
 
 # ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from test_cpb import random_labels, random_theory
 from test_semirings import sweep
 
+from betacircuits import circuit as circuit_module
 from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (
     CircuitError, LabelTable, NodeKind, eval_queries, format_label_table,
@@ -224,8 +225,9 @@ class TestValidation:
         assert rep.ok and rep.determinism_exact
         assert elapsed < 1.0
 
-    def test_determinism_skipped_above_threshold(self):
-        rep = validate(burglary_circuit(), max_check_vars=2)
+    def test_determinism_skipped_above_threshold(self, monkeypatch):
+        monkeypatch.setattr(circuit_module, "MAX_CHECK_VARS", 2)
+        rep = validate(burglary_circuit())
         assert rep.ok
         assert not rep.determinism_exact
         assert rep.warnings

@@ -302,6 +302,20 @@ class TestInfer:
         assert (rc, out) == (2, "")
         assert err == "error: --samples and --seed apply only to --backend mc\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "0", "--samples must be >= 1"),
+        ("--seed", "-1", "--seed must be >= 0")])
+    def test_samples_and_seed_bounds_name_the_flag(self, burglary_files,
+                                                   capsys, flag, value,
+                                                   message):
+        # Before, the messages were numpy's and mc_eval's, not the flag's.
+        circuit, labels = burglary_files
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "1",
+                           "--backend", "mc", flag, value)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_out_of_memory_exit_code(self, burglary_files, capsys):
         # 10^15 samples need 7.1 PiB per array, past a process's address
         # space, so numpy refuses the first one without allocating it.

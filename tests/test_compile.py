@@ -210,4 +210,4 @@ class TestBNEncoding:
             ev = {v: False for v in model.random_evidence_vars}
             c = model.circuit(ev)
             assert len(c) < 200
-            assert validate(c, max_check_vars=0).violations == []
+            assert validate(c).violations == []

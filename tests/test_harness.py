@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from betacircuits import betadist, examples, harness
-from betacircuits.examples import BUILTIN_MODELS
+from betacircuits.betacalc import QueryResult
+from betacircuits.circuit import set_condition
+from betacircuits.examples import BUILTIN_MODELS, burglary_labels
 from betacircuits.harness import (DEFAULT_GAMMAS, ExperimentConfig,
                                   run_experiment)
 from betacircuits.semirings import InconsistentEvidenceError
@@ -74,6 +76,18 @@ class TestConfig:
         assert cfg.backends == ("cpb",)
         assert cfg.gammas == DEFAULT_GAMMAS
 
+    def test_negative_seed_is_named(self):
+        # Before, it passed here and numpy rejected it mid-run.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentConfig(model="burglary", seed=-1)
+
+    @pytest.mark.parametrize("key", ["query_vars", "backends", "gammas"])
+    def test_list_keys_need_a_json_array(self, key):
+        # Before, "backends": "cpb" was split into the backends c, p, b.
+        with pytest.raises(ValueError, match=f"{key} must be a JSON array"):
+            ExperimentConfig.from_json(json.dumps({"model": "burglary",
+                                                   key: "cpb"}))
+
     def test_readme_documents_the_config(self):
         # README's example config parses, and README's prose names every
         # config field as `name`: a field added or renamed without its docs
@@ -85,6 +99,21 @@ class TestConfig:
         missing = [f.name for f in fields(ExperimentConfig)
                    if f"`{f.name}`" not in text]
         assert missing == []
+
+
+@pytest.mark.parametrize("name", ["cpb", "mm", "sl", "mc:200"])
+def test_every_backend_answers_a_query_result(name):
+    model = BUILTIN_MODELS["burglary"]()
+    c = set_condition(model.circuit({}), query=None,
+                      evidence=model.prob_evidence)
+    answers = harness._run_backend(name, c, model.query_vars,
+                                   burglary_labels(),
+                                   np.random.default_rng(0))
+    assert list(answers) == list(model.query_vars)
+    for res in answers.values():
+        assert isinstance(res, QueryResult)
+        assert 0.0 < res.mean < 1.0 and res.variance > 0.0
+        assert res.matched.mean == pytest.approx(res.mean)
 
 
 @pytest.fixture(scope="module")

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 from test_cpb import random_theory
 
-from betacircuits.betacalc import BetaLabel
+from betacircuits.betacalc import BetaLabel, Moments, QueryResult, moment_match
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
                                   parse_nnf, set_condition)
 from betacircuits.compile import shannon_compile
 from betacircuits.examples import (burglary_circuit, burglary_labels,
                                    net1_model, point_labels, smokers_model)
 from betacircuits.learn import fit_complete, sample_observations
-from betacircuits.mc import (MAX_REJECTION_RATE, mc_eval, mc_eval_queries,
-                             mc_strength)
+from betacircuits.mc import (MAX_REJECTION_RATE, MCResult, mc_eval,
+                             mc_eval_queries, mc_strength)
 from betacircuits.semirings import InconsistentEvidenceError
 
 
@@ -281,13 +281,29 @@ class TestSharedDraw:
             mc_eval_queries(STAGED, (1, 4), burglary_labels(), 10)
 
 
+#: The smoothed one-variable circuit: its query's conditional is theta_1.
+ONE_LEAF = set_condition(parse_nnf("nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1\n"),
+                         query=1)
+
+
 class TestMCStrength:
     def test_inverts_beta_moments(self):
-        rng = np.random.default_rng(5)
-        samples = rng.beta(6.0, 4.0, size=2_000_00)
-        s = mc_strength(samples)
-        assert s == pytest.approx(10.0, rel=0.05)
+        labels = LabelTable({1: BetaLabel(6.0, 4.0)})
+        res = mc_eval(ONE_LEAF, labels, 200_000, seed=5)
+        assert mc_strength(res) == pytest.approx(10.0, rel=0.05)
 
     def test_zero_variance_is_infinite(self):
-        assert mc_strength(np.full(100, 0.3)) == float("inf")
-        assert mc_strength(np.array([0.7])) == float("inf")
+        # The matched label saturates at MAX_STRENGTH; the strength is inf.
+        constant = MCResult(0.3, 0.0, moment_match(Moments(0.3, 0.0)),
+                            samples=np.full(100, 0.3), rejections=0)
+        assert mc_strength(constant) == float("inf")
+        single = mc_eval(ONE_LEAF, LabelTable({1: BetaLabel(6.0, 4.0)}), 1)
+        assert single.variance == 0.0
+        assert mc_strength(single) == float("inf")
+
+    def test_matched_is_the_moment_match(self):
+        res = mc_eval_queries(set_condition(burglary_circuit(), query=None),
+                              (1, 2), burglary_labels(), 500, seed=3)
+        for r in res.values():
+            assert isinstance(r, QueryResult)
+            assert r.matched == moment_match(Moments(r.mean, r.variance))

@@ -79,3 +79,15 @@ def test_no_unused_import():
     hits = [f"{p.relative_to(SRC)}:{hit}" for p in files
             for hit in _unused_imports(p.read_text())]
     assert hits == []
+
+
+def test_cli_and_harness_do_not_convert_answers():
+    # Every backend returns a QueryResult, so the two callers read its
+    # label and never turn a raw value or sample set into one.
+    converters = {"moment_match", "to_label", "mean_of"}
+    hits = [f"{name}:{node.lineno}" for name in ("cli.py", "harness.py")
+            for node in ast.walk(ast.parse((SRC / name).read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in converters]
+    assert hits == []
