@@ -123,10 +123,12 @@ class BetaLabel:
             raise ValueError(f"prior_weight must be finite and > 0, got "
                              f"{self.prior_weight}")
         if self.certain is None:
-            if not (0.0 < self.alpha_pos < math.inf
-                    and 0.0 < self.alpha_neg < math.inf):
+            # A finite sum keeps the mean alpha_pos / (alpha_pos + alpha_neg)
+            # from reading 0 for the label and for its complement.
+            if not (0.0 < self.alpha_pos and 0.0 < self.alpha_neg
+                    and self.alpha_pos + self.alpha_neg < math.inf):
                 raise ValueError(
-                    f"alpha parameters must be finite and > 0, got "
+                    f"alpha parameters must be > 0 with a finite sum, got "
                     f"({self.alpha_pos}, {self.alpha_neg})"
                 )
 

@@ -12,10 +12,10 @@ Under these restrictions a single bottom-up sweep computes weighted model
 counts in any commutative semiring: OR folds with the semiring sum, AND
 with the semiring product, and a literal leaf contributes its label.
 
-Each leaf additionally carries a lambda indicator bit.  Setting lambda = 0
-on a leaf makes it contribute the additive identity, which removes every
-model containing that literal from the count -- this is how evidence and
-query conditioning are pushed into the circuit without rebuilding it.
+A circuit also carries a set of zeroed literals (the lambda = 0 indicators
+of the differential approach), whose leaves contribute the additive
+identity.  That removes every model containing the literal from the count
+-- this is how evidence is pushed into the circuit without rebuilding it.
 
 ``_Schedule.run`` is that fold, the library's only bottom-up evaluator.
 It runs one lockstep pass: the evidence sweep and, per query, a joint
@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -65,7 +65,6 @@ class CircuitNode:
     kind: NodeKind
     children: tuple[int, ...] = ()
     literal: int = 0          # signed variable id, LITERAL nodes only
-    lam: int = 1              # lambda indicator (leaves; 0 = conditioned out)
     decision_var: int = 0     # OR decision variable from the file (informational)
 
     @property
@@ -81,18 +80,19 @@ class CircuitError(ValueError):
 class Circuit:
     """An immutable-by-convention d-DNNF circuit.
 
-    ``query_literal`` is staged by ``set_condition`` (whose evidence lives
-    in the leaves' lambda bits): each evaluator pins the leaves of its
-    negation to 0 for the numerator of the conditional.
+    ``set_condition`` sets ``zeroed``, the literals whose leaves evidence
+    sets to 0, and stages ``query_literal``: each evaluator pins the leaves
+    of its negation to 0 for the numerator of the conditional.
     """
 
     nodes: list[CircuitNode]
     root: int
     var_count: int
     query_literal: Optional[int] = None
+    zeroed: frozenset[int] = frozenset()
     _scopes: Optional[list[frozenset[int]]] = field(
         default=None, repr=False, compare=False)
-    _schedules: dict[tuple[int, ...], _Schedule] = field(
+    _schedules: dict[tuple, _Schedule] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -119,10 +119,11 @@ class Circuit:
         return self._scopes
 
     def schedule(self, queries: tuple[int, ...]) -> _Schedule:
-        """The lockstep pass of ``queries`` (literals), cached per tuple."""
-        plan = self._schedules.get(queries)
+        """The lockstep pass of literals ``queries``, cached per zeroed set."""
+        plan = self._schedules.get((self.zeroed, queries))
         if plan is None:
-            plan = self._schedules[queries] = _Schedule.build(self, queries)
+            plan = self._schedules[self.zeroed, queries] = _Schedule.build(
+                self, queries)
         return plan
 
     def variables(self) -> frozenset[int]:
@@ -246,7 +247,7 @@ def _truth_tables(c: Circuit, columns: Mapping[int, int], full: int) -> list[int
     Bit r of a table is the node's value on row r.  ``columns[v]`` is the
     table of variable v and ``full`` has every row's bit set; a variable
     missing from ``columns`` makes its literal leaves raise KeyError.  The
-    pass reads a leaf with lambda = 0 as FALSE, so ``c`` is unconditioned.
+    pass reads a zeroed literal's leaves as FALSE, so ``c`` is unconditioned.
     """
     plan = _Schedule.build(c, (), range(len(c)))
     return plan.run(0, full, operator.or_, operator.and_,
@@ -276,7 +277,7 @@ def validate(c: Circuit) -> ValidationReport:
     is one pass that builds every node's truth table over all 2^V rows
     of its V leaf variables (n * 2^V bits of memory); an OR node is
     reported at the lowest row, restricted to its scope, where two children
-    hold.  Only unconditioned circuits come here (every lambda is 1):
+    hold.  Only unconditioned circuits come here (no literal is zeroed):
     ``infer`` and the harness validate a circuit as parsed.
     """
     violations: list[str] = []
@@ -331,17 +332,18 @@ def validate(c: Circuit) -> ValidationReport:
 
 def set_condition(c: Circuit, query: Optional[int],
                   evidence: Iterable[tuple[int, bool]] = ()) -> Circuit:
-    """Return a copy conditioned on evidence with a staged query literal.
+    """``c`` conditioned on evidence, with a staged query literal.
 
-    Evidence (var, value) pairs set lambda = 0 on every leaf asserting the
-    *contradicting* polarity of that variable; a negative var reads as a
-    literal, so (-v, True) is (v, False).  The query literal is only
-    recorded: the evaluators pin its negation's leaves to 0 when they
-    compute the numerator of the conditional.
+    Evidence (var, value) pairs add the *contradicting* literal of that
+    variable to ``c.zeroed``; a negative var reads as a literal, so
+    (-v, True) is (v, False).  The query literal is only recorded: the
+    evaluators pin its negation's leaves to 0 when they compute the
+    numerator of the conditional.  The result shares ``c``'s nodes and
+    its cached passes.
 
     Raises CircuitError when an evidence variable is 0 or above
     ``c.var_count``, or the query variable does not occur in the circuit.
-    Evidence on a variable with no leaf is accepted and changes nothing.
+    Evidence on a variable with no leaf is accepted and changes no answer.
     """
     contradicted = {(-v if val else v) for v, val in evidence}
     for lit in contradicted:
@@ -350,13 +352,10 @@ def set_condition(c: Circuit, query: Optional[int],
                                f"1..{c.var_count}")
     if query is not None:
         query_literals(c, (query,))
-    new_nodes = []
-    for n in c.nodes:
-        if n.kind is NodeKind.LITERAL and n.literal in contradicted:
-            new_nodes.append(replace(n, lam=0))
-        else:
-            new_nodes.append(n)
-    return Circuit(new_nodes, c.root, c.var_count, query_literal=query)
+    out = Circuit(c.nodes, c.root, c.var_count, query,
+                  c.zeroed | contradicted)
+    out._schedules = c._schedules
+    return out
 
 
 def query_literals(c: Circuit, queries: Iterable[int]) -> tuple[int, ...]:
@@ -512,8 +511,8 @@ class _Schedule:
 
     ``folds`` maps each sweep's gates, in id order, to their folds (slot,
     op, child slots): the evidence sweep's (the gates that reach the root),
-    then each query's joint sweep's.  ``leaves`` are the literal leaves
-    with lambda = 1 that reach the root: the only ones read from ``leaf``.
+    then each query's joint sweep's.  ``leaves`` are the leaves of literals
+    not zeroed that reach the root: the only ones read from ``leaf``.
     ``joint[q]`` maps each node that query q recomputes (the ``leaves`` of
     literal -q and their ancestors, in id order) to the slot of its joint
     value; slot i holds node i's evidence value, which every other node of
@@ -553,7 +552,7 @@ class _Schedule:
                     reach[ch] = True
         order = [i for i in range(len(nodes)) if reach[i]]
         leaves = [i for i in order if nodes[i].kind is NodeKind.LITERAL
-                  and nodes[i].lam != 0]
+                  and nodes[i].literal not in c.zeroed]
         # Every gate of the evidence sweep: its id, fold step and children.
         gates = {i: (i, _TIMES if nodes[i].kind is NodeKind.AND else _PLUS,
                      nodes[i].children) for i in order if nodes[i].children}
@@ -626,7 +625,7 @@ class _Schedule:
             leaf: Callable[[int], object], drop: bool = True) -> list:
         """Every slot's value after the pass (None once dropped).
 
-        A literal leaf with lambda = 1 gets ``leaf(lit)``, any other leaf
+        A leaf of a literal not zeroed gets ``leaf(lit)``, any other leaf
         and TRUE or FALSE their constant, ``zero`` or ``one``.  An AND folds
         its children with ``times`` and an OR with ``plus``, in file order
         (the opinion and moment calculi depend on it).  ``drop=False``
@@ -708,7 +707,7 @@ def eval_queries(c: Circuit, queries: Iterable[int], zero, one,
                  leaf_value: Callable[[int], object]):
     """``(evidence_root, {query: joint_root})`` by one lockstep pass.
 
-    The evidence sweep gives a leaf with lambda = 0 ``zero`` and any other
+    The evidence sweep gives a zeroed literal's leaf ``zero`` and any other
     literal leaf ``leaf_value(lit)``.  A query's joint sweep also gives the
     leaves of its negation ``zero``; it recomputes only their ancestors and
     reads every other node's evidence value, so each root equals that of

@@ -216,13 +216,10 @@ def _check_model_options(model: str, options: dict) -> None:
 def _check_backend(name: str) -> None:
     if name in ("cpb", "mm", "sl"):
         return
-    if isinstance(name, str) and name.startswith("mc:"):
-        try:
-            k = int(name[3:])
-        except ValueError:
-            k = 0
-        if k >= 1:
-            return
+    # One spelling per sample count, so that two names never mean one backend.
+    k = name[3:] if isinstance(name, str) and name.startswith("mc:") else ""
+    if k.isascii() and k.isdigit() and k[0] != "0":
+        return
     raise ValueError(f"unknown backend {name!r}; "
                      "expected cpb, mm, sl, or mc:<samples>")
 

@@ -99,9 +99,7 @@ def sample_observations(probs: Mapping[int, float],
     p = np.array([probs[v] for v in variables], dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("ground-truth probabilities must lie in (0,1)")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    draws = rng.random((n_ins, len(p))) < p
+    draws = np.random.default_rng(rng).random((n_ins, len(p))) < p
     rows = tuple(tuple(bool(x) for x in row) for row in draws)
     return Dataset(len(p), rows), variables
 

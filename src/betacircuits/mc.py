@@ -86,8 +86,7 @@ def mc_eval_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     queries = query_literals(c, queries)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = (seed if isinstance(seed, np.random.Generator)
-           else np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
     # Per variable id: whether it is drawn (labelled, with a leaf anywhere
     # in the circuit) and how many of its leaves the evidence sweep reads.
     # Lists indexed by id, not dicts or sets, keep this bookkeeping small

@@ -63,7 +63,7 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
     for node in c.nodes:
         if node.kind is NodeKind.TRUE:
             means[node.id] = 1.0
-        elif node.kind is NodeKind.LITERAL and node.lam == 1:
+        elif node.kind is NodeKind.LITERAL and node.literal not in c.zeroed:
             means[node.id] = labels.mean_of(node.literal)
             by_var.setdefault(node.var, []).append(node)
     for vi, vj in [(v, v) for v in by_var] + list(leaf_cov.cross_entries):

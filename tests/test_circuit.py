@@ -7,6 +7,7 @@ import random
 import re
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def full_values(c, zero, one, plus, times, leaf_value, zero_literal=0):
     values = []
     for n in c.nodes:
         if n.kind is NodeKind.LITERAL:
-            dead = n.lam == 0 or n.literal == zero_literal
+            dead = n.literal in c.zeroed or n.literal == zero_literal
             values.append(zero if dead else leaf_value(n.literal))
         elif n.kind is NodeKind.TRUE:
             values.append(one)
@@ -120,7 +121,7 @@ def enumeration_wmc(c, labels, zero_literals=frozenset()):
     """Brute-force weighted model count over all assignments (oracle)."""
     variables = sorted({n.var for n in c.nodes if n.kind is NodeKind.LITERAL})
     lam0 = {n.literal for n in c.nodes
-            if n.kind is NodeKind.LITERAL and n.lam == 0}
+            if n.kind is NodeKind.LITERAL and n.literal in c.zeroed}
     dead = lam0 | set(zero_literals)
     total = 0.0
     for bits in itertools.product([False, True], repeat=len(variables)):
@@ -470,18 +471,56 @@ class TestConditioning:
         # Evidence earthquake=True kills no leaf here (no -2 leaf exists),
         # but evidence earthquake=False would kill the positive leaf.
         conditioned = set_condition(c, query=1, evidence=[(2, False)])
-        lam = {n.literal: n.lam for n in conditioned.nodes
-               if n.kind is NodeKind.LITERAL}
-        assert lam[2] == 0
-        assert lam[1] == 1
+        assert 2 in conditioned.zeroed
+        assert 1 not in conditioned.zeroed
         assert conditioned.query_literal == 1
         # The original circuit is untouched.
-        assert all(n.lam == 1 for n in c.nodes
-                   if n.kind is NodeKind.LITERAL)
+        assert c.zeroed == frozenset()
 
     def test_missing_query_variable_rejected(self):
         with pytest.raises(CircuitError, match="does not occur"):
             set_condition(burglary_circuit(), query=9)
+
+    def test_conditioning_copies_no_node(self):
+        c = burglary_circuit()
+        conditioned = set_condition(c, query=1, evidence=[(2, False)])
+        assert conditioned.nodes is c.nodes
+        assert conditioned.zeroed == {2}
+        assert c.zeroed == frozenset()
+
+    def test_conditioning_twice_takes_the_union(self):
+        c = set_condition(burglary_circuit(), None, [(2, False)])
+        twice = set_condition(c, query=1, evidence=[(3, True), (1, True)])
+        assert twice.zeroed == {2, -3, -1}
+        assert twice.query_literal == 1
+        assert c.zeroed == {2}
+
+    def test_conditionings_share_their_passes(self, monkeypatch):
+        builds = []
+        build = _Schedule.build
+
+        def counted(c, *args):
+            builds.append(c.zeroed)
+            return build(c, *args)
+
+        monkeypatch.setattr(_Schedule, "build", counted)
+        c, labels = burglary_circuit(), burglary_labels()
+
+        def answer(evidence):
+            staged = set_condition(c, query=1, evidence=evidence)
+            return conditioned_eval_queries(staged, prob_semiring(), labels,
+                                            (1,))
+        first = answer([(2, False)])
+        assert builds == [{2}]
+        # The same evidence again builds no pass; other evidence does.
+        assert answer([(2, False)]) == first
+        assert builds == [{2}]
+        answer([(2, True)])
+        assert builds == [{2}, {-2}]
+        # A copy made by dataclasses.replace starts with no pass.
+        copy = replace(set_condition(c, 1, [(2, False)]))
+        conditioned_eval_queries(copy, prob_semiring(), labels, (1,))
+        assert builds == [{2}, {-2}, {2}]
 
 
 class TestLabelTable:
@@ -531,6 +570,13 @@ class TestLabelTable:
         # line for a variable won.
         with pytest.raises(CircuitError, match=f"^label table line {line}: "):
             parse_label_table(text)
+
+    def test_alpha_sum_must_be_finite(self):
+        # Both alphas are finite, but their sum overflows: the mean read
+        # 1e308 / inf = 0.0 for the label and for its complement.
+        with pytest.raises(CircuitError,
+                           match="^label table line 1: .*finite sum"):
+            parse_label_table("1 1e308 1e308\n2 1e-300 1e-300\n3 1 1\n")
 
 
 class TestConditionFile:

@@ -110,6 +110,37 @@ class TestInfer:
                          "--backend", backend)
         assert (rc, out) == (0, expect)
 
+    @pytest.mark.parametrize("backend, expect", [
+        ("prob", "0.5172413793103449 2.497027348392271e-13 "
+         "517241379310.34485 482758620689.65515\n"),
+        ("sl", "0.5172413793103449 0.028252531394830267 "
+         "4.054263565891477 3.783979328165378\n"),
+        ("mm", "0.5172413793103449 0.08129856483145756 "
+         "1.0714285714285716 1.0\n"),
+        ("cpb", "0.5172413793103449 0.03549444344545585 "
+         "3.1215418906516317 2.9134390979415223\n"),
+        ("mc", "0.5049120964881326 0.03513989100758146 "
+         "3.0868987382803876 3.026836226183752\n"),
+    ])
+    def test_evidence_output_is_pinned(self, tmp_path, capsys, backend,
+                                       expect):
+        # c <-> (a or b) with c unlabelled; "evidence 3 1" zeroes the -3
+        # leaf, so every backend but mc answers the exact
+        # P(a | a or b) = 0.3 / 0.58 (0.3 without the evidence line).
+        circuit = tmp_path / "iff.nnf"
+        circuit.write_text("nnf 12 12 3\nL 1\nL 3\nA 2 0 1\nL -1\nL 2\n"
+                           "A 2 4 1\nL -2\nL -3\nA 2 6 7\nO 2 2 5 8\n"
+                           "A 2 3 9\nO 1 2 2 10\n")
+        labels = tmp_path / "iff.labels"
+        labels.write_text("1 3 7\n2 4 6\n")
+        cond = tmp_path / "iff.cond"
+        cond.write_text("query 1\nevidence 3 1\n")
+        extra = ("--samples", "2000", "--seed", "7") if backend == "mc" else ()
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--evidence", cond,
+                           "--backend", backend, *extra)
+        assert (rc, out, err) == (0, expect, "")
+
     def test_query_from_evidence_file(self, burglary_files, tmp_path, capsys):
         circuit, labels = burglary_files
         cond = tmp_path / "cond.txt"
@@ -191,6 +222,20 @@ class TestInfer:
             rc, out, err = run(capsys, *infer, "--cov", cov)
             assert (rc, out) == (2, "")
             assert err.startswith("error: leaf covariance line 2:")
+
+    @pytest.mark.parametrize("backend", ["prob", "sl", "mm", "cpb", "mc"])
+    def test_overflowing_alpha_sum_exits_2(self, burglary_files, capsys,
+                                           backend):
+        # Before, the mean read 1e308 / inf = 0.0 for the label and for its
+        # complement: prob, cpb and mm exited 3 with "inconsistent
+        # evidence", sl 2 on an opinion summing to 0, mc 0 with "0.0 0.0".
+        circuit, labels = burglary_files
+        labels.write_text("1 1e308 1e308\n2 1e-300 1e-300\n3 1 1\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "1",
+                           "--backend", backend)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: label table line 1: ")
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--labels", "1 2 18\n2 2 8\n3 inf x\n", "label table line 3: "),
@@ -523,6 +568,17 @@ class TestExperiment:
         assert out == ""
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["mc:01", "mc:+5", "mc: 5", "mc:5_000"])
+    def test_mc_names_must_be_canonical(self, tmp_path, capsys, name):
+        # int() reads each of these, so each wrote its own CSV row, and
+        # ["mc:1", "mc:01"] named one backend twice.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**FAST_BURGLARY, "backends": [name]}))
+        rc, out, err = run(capsys, "experiment", "--config", config,
+                           "--out", tmp_path / "out")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and "unknown backend" in err
 
 
 def _loaded_in_fresh_process(module: str, imported: str) -> str:

@@ -502,7 +502,7 @@ def exact_first_order(staged, labels):
         for n in staged.nodes:
             if n.kind is NodeKind.LITERAL:
                 t = values[n.var]
-                x = (Fraction(0) if n.lam == 0 or n.id in pinned
+                x = (Fraction(0) if n.literal in staged.zeroed or n.id in pinned
                      else t if n.literal > 0 else 1 - t)
             elif n.kind is NodeKind.AND:
                 x = math.prod((val[ch] for ch in n.children), start=Fraction(1))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from betacircuits import betadist, examples, harness
+from betacircuits import circuit as circuit_module
 from betacircuits.betacalc import QueryResult
 from betacircuits.circuit import set_condition
 from betacircuits.examples import BUILTIN_MODELS, burglary_labels
@@ -336,6 +337,22 @@ class TestWorkers:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         run_experiment(cfg)
         assert len(calls) > 0
+
+    def test_truth_draws_share_one_pass(self, monkeypatch):
+        # Every truth draw conditions the model's cached circuit on the same
+        # evidence, so the first draw's pass serves the other nine.
+        builds = []
+        build = circuit_module._Schedule.build
+
+        def counted(c, *args):
+            builds.append(args)
+            return build(c, *args)
+
+        monkeypatch.setattr(circuit_module._Schedule, "build", counted)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        run_experiment(small_config(truth_draws=10, repetitions=3,
+                                    backends=("cpb", "mm", "sl", "mc:100")))
+        assert builds == [((1,),)]
 
     def test_mixed_cell_output_is_pinned(self, tmp_path):
         # Two mc backends between the analytic ones: each label set's mc

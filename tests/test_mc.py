@@ -98,7 +98,7 @@ def full_sweep(c, leaf_probs, size, zero_literal=0):
     values = [None] * len(c.nodes)
     for n in c.nodes:
         if n.kind is NodeKind.LITERAL:
-            if n.lam == 0 or n.literal == zero_literal:
+            if n.literal in c.zeroed or n.literal == zero_literal:
                 values[n.id] = np.zeros(size)
             elif n.var not in leaf_probs:
                 values[n.id] = np.ones(size)
