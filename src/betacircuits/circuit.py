@@ -338,12 +338,13 @@ def set_condition(c: Circuit, query: Optional[int],
     variable to ``c.zeroed``; a negative var reads as a literal, so
     (-v, True) is (v, False).  The query literal is only recorded: the
     evaluators pin its negation's leaves to 0 when they compute the
-    numerator of the conditional.  The result shares ``c``'s nodes and
-    its cached passes.
+    numerator of the conditional.  The result shares ``c``'s nodes, its
+    scopes and its cached passes.
 
     Raises CircuitError when an evidence variable is 0 or above
-    ``c.var_count``, or the query variable does not occur in the circuit.
-    Evidence on a variable with no leaf is accepted and changes no answer.
+    ``c.var_count``, or the query variable has no leaf that reaches the
+    root.  Evidence on a variable with no leaf is accepted and changes no
+    answer.
     """
     contradicted = {(-v if val else v) for v, val in evidence}
     for lit in contradicted:
@@ -353,7 +354,7 @@ def set_condition(c: Circuit, query: Optional[int],
     if query is not None:
         query_literals(c, (query,))
     out = Circuit(c.nodes, c.root, c.var_count, query,
-                  c.zeroed | contradicted)
+                  c.zeroed | contradicted, c._scopes)
     out._schedules = c._schedules
     return out
 
@@ -362,14 +363,13 @@ def query_literals(c: Circuit, queries: Iterable[int]) -> tuple[int, ...]:
     """The distinct ``queries`` in order, each checked to occur in ``c``.
 
     Raises ValueError when none is given and CircuitError when a query
-    variable has no leaf in the circuit.
+    variable has no leaf that reaches the root.
     """
     queries = tuple(dict.fromkeys(queries))
     if not queries:
         raise ValueError("no queries given")
-    leaf_vars = {n.var for n in c.nodes if n.kind is NodeKind.LITERAL}
     for q in queries:
-        if abs(q) not in leaf_vars:
+        if abs(q) not in c.variables():
             raise CircuitError(
                 f"query variable {abs(q)} does not occur in circuit")
     return queries

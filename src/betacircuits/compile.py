@@ -5,12 +5,12 @@ v in the given order that still occurs in the formula, and build
 
     node = (v AND compile(f|v=1))  OR  (not v AND compile(f|v=0))
 
-with constant folding.  Sub-formulas are canonicalized and memoized, so
-structurally equal residual formulas share one circuit node (a hash-consed
-DAG, BDD-style).  The output is decomposable by construction (the split
-variable never occurs in the branch bodies) and deterministic by
-construction (the two branches disagree on the split variable), and always
-passes exact circuit validation.
+with constant folding.  Sub-formulas are canonicalized and memoized, and
+the builder's one unique table shares each node among equal residuals (a
+hash-consed DAG, BDD-style).  The output is decomposable by construction
+(the split variable never occurs in the branch bodies) and deterministic
+by construction (the two branches disagree on the split variable), and
+always passes exact circuit validation.
 
 This is an exponential-worst-case desk tool, guarded by a free-variable
 limit; it is meant to compile the bundled example models, not to compete
@@ -218,50 +218,32 @@ class Theory:
 # ---------------------------------------------------------------------
 
 class _Builder:
-    """Hash-consing circuit builder."""
+    """Hash-consing circuit builder with one unique table, as in an ROBDD.
+
+    ``node`` returns the first node made for its (kind, children, literal)
+    key; ``decision_var`` is not part of the key, so an OR keeps the
+    decision variable it was made with.
+    """
 
     def __init__(self, var_count: int):
         self.var_count = var_count
         self.nodes: list[CircuitNode] = []
-        self._lit: dict[int, int] = {}
-        self._gate: dict[tuple, int] = {}
-        self._true: Optional[int] = None
-        self._false: Optional[int] = None
+        self._unique: dict[tuple, int] = {}
 
-    def _add(self, kind: NodeKind, children: tuple[int, ...] = (),
+    def node(self, kind: NodeKind, children: tuple[int, ...] = (),
              literal: int = 0, decision_var: int = 0) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(CircuitNode(nid, kind, children, literal,
-                                      decision_var=decision_var))
+        key = (kind, children, literal)
+        nid = self._unique.get(key)
+        if nid is None:
+            nid = self._unique[key] = len(self.nodes)
+            self.nodes.append(CircuitNode(nid, kind, children, literal,
+                                          decision_var=decision_var))
         return nid
-
-    def true(self) -> int:
-        if self._true is None:
-            self._true = self._add(NodeKind.TRUE)
-        return self._true
-
-    def false(self) -> int:
-        if self._false is None:
-            self._false = self._add(NodeKind.FALSE)
-        return self._false
-
-    def literal(self, lit: int) -> int:
-        if lit not in self._lit:
-            self._lit[lit] = self._add(NodeKind.LITERAL, literal=lit)
-        return self._lit[lit]
-
-    def gate(self, kind: NodeKind, children: tuple[int, ...],
-             decision_var: int = 0) -> int:
-        key = (kind, children)
-        if key not in self._gate:
-            self._gate[key] = self._add(kind, children,
-                                        decision_var=decision_var)
-        return self._gate[key]
 
     def finish(self, root: int) -> Circuit:
         if root != len(self.nodes) - 1:
             # NNF text convention: last node is the root.
-            root = self._add(NodeKind.AND, (root,))
+            root = self.node(NodeKind.AND, (root,))
         return Circuit(self.nodes, root, self.var_count)
 
 
@@ -293,30 +275,26 @@ def shannon_compile(theory: Theory,
     substituted: dict = {}
 
     def compile_rec(f: Formula) -> int:
-        if f is True:
-            return builder.true()
-        if f is False:
-            return builder.false()
+        if isinstance(f, bool):
+            return builder.node(NodeKind.TRUE if f else NodeKind.FALSE)
         if f in memo:
             return memo[f]
         v = min(vars_of(f), key=position.__getitem__)
         branches = []
         for value, lit in ((True, v), (False, -v)):
             sub = compile_rec(substitute(f, v, value, substituted))
-            node = builder.nodes[sub]
-            if node.kind is NodeKind.FALSE:
+            kind = builder.nodes[sub].kind
+            if kind is NodeKind.FALSE:
                 continue
-            if node.kind is NodeKind.TRUE:
-                branches.append(builder.literal(lit))
-            else:
-                branches.append(
-                    builder.gate(NodeKind.AND, (builder.literal(lit), sub)))
+            leaf = builder.node(NodeKind.LITERAL, literal=lit)
+            branches.append(leaf if kind is NodeKind.TRUE
+                            else builder.node(NodeKind.AND, (leaf, sub)))
         if not branches:
-            result = builder.false()
+            result = builder.node(NodeKind.FALSE)
         elif len(branches) == 1:
             result = branches[0]
         else:
-            result = builder.gate(NodeKind.OR, tuple(branches), decision_var=v)
+            result = builder.node(NodeKind.OR, tuple(branches), decision_var=v)
         memo[f] = result
         return result
 
@@ -378,34 +356,26 @@ def encode_bn(spec: BayesNetSpec) -> tuple[Theory, BNLegend]:
     variables grouped by node in declaration order, rows in binary order
     of the parent configuration.
     """
-    legend = BNLegend()
-    next_var = 1
-    for n in spec.nodes:
-        legend.node_var[n.name] = next_var
-        next_var += 1
-    for n in spec.nodes:
-        k = len(n.parents)
-        for bits in range(1 << k):
-            config = tuple(bool((bits >> i) & 1) for i in range(k))
-            legend.cpt_var[(n.name, config)] = next_var
-            next_var += 1
-
+    legend = BNLegend({n.name: i for i, n in enumerate(spec.nodes, 1)})
+    next_var = len(spec.nodes) + 1
     constraints = []
     for n in spec.nodes:
         k = len(n.parents)
         terms = []
         for bits in range(1 << k):
             config = tuple(bool((bits >> i) & 1) for i in range(k))
+            legend.cpt_var[(n.name, config)] = next_var
             lits = [f_var(legend.node_var[p]) if val
                     else f_not(f_var(legend.node_var[p]))
                     for p, val in zip(n.parents, config)]
-            terms.append(f_and(*lits, f_var(legend.cpt_var[(n.name, config)])))
+            terms.append(f_and(*lits, f_var(next_var)))
+            next_var += 1
         constraints.append(f_iff(f_var(legend.node_var[n.name]), f_or(*terms)))
     return Theory(next_var - 1, tuple(constraints)), legend
 
 
 def bn_compile_order(spec: BayesNetSpec, legend: BNLegend) -> list[int]:
-    """Interleaved split order: each node's CPT variables, then the node.
+    """Split order: each node's ``legend.cpt_var`` rows, then the node.
 
     Families follow the declaration (topological) order, which keeps the
     residual formulas small during Shannon expansion -- a node's
@@ -413,9 +383,7 @@ def bn_compile_order(spec: BayesNetSpec, legend: BNLegend) -> list[int]:
     """
     order: list[int] = []
     for n in spec.nodes:
-        k = len(n.parents)
-        for bits in range(1 << k):
-            config = tuple(bool((bits >> i) & 1) for i in range(k))
-            order.append(legend.cpt_var[(n.name, config)])
+        order += [v for (name, _), v in legend.cpt_var.items()
+                  if name == n.name]
         order.append(legend.node_var[n.name])
     return order

@@ -63,15 +63,14 @@ def fit_complete(data: Dataset,
         variables = list(range(1, data.var_count + 1))
     if len(variables) != data.var_count:
         raise ValueError("one variable id per dataset column required")
-    col_of = {v: i for i, v in enumerate(variables)}
+    counts = {v: data.counts(i) for i, v in enumerate(variables)}
 
     table = LabelTable()
-    for v in variables:
-        r, s = data.counts(col_of[v])
+    for v, (r, s) in counts.items():
         table.set(v, _posterior(r, s))
     for group in tied_groups:
-        r = sum(data.counts(col_of[v])[0] for v in group)
-        s = sum(data.counts(col_of[v])[1] for v in group)
+        r = sum(counts[v][0] for v in group)
+        s = sum(counts[v][1] for v in group)
         pooled = _posterior(r, s)
         for v in group:
             table.set(v, pooled)

@@ -342,8 +342,9 @@ class TestEvaluation:
                           random_labels(rng, model.prob_vars), queries))
         for _ in range(100):
             c = parse_nnf(random_nnf(rng))
-            variables = sorted({n.var for n in c.nodes
-                                if n.kind is NodeKind.LITERAL})
+            variables = sorted(c.variables())
+            if not variables:
+                continue
             cases.append((c, random_labels(rng, variables),
                           [v * rng.choice((1, -1)) for v in variables]))
         checked = 0

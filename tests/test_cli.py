@@ -294,6 +294,19 @@ class TestInfer:
             assert rc == 0
             assert float(out.split()[0]) == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("backend", ["prob", "sl", "mm", "cpb", "mc"])
+    def test_query_off_the_root_exits_2(self, tmp_path, capsys, backend):
+        # Leaf 0 (variable 2) feeds nothing that reaches the root.  Before,
+        # every backend answered "1.0 0.0 inf 1" with exit 0.
+        circuit, labels = tmp_path / "off.nnf", tmp_path / "off.labels"
+        circuit.write_text("nnf 5 2 2\nL 2\nL 1\nL -1\nO 1 2 1 2\nA 1 3\n")
+        labels.write_text("1 3 7\n2 4 6\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--query", "2",
+                           "--backend", backend)
+        assert (rc, out) == (2, "")
+        assert err == "error: query variable 2 does not occur in circuit\n"
+
     def test_cov_literal_0_is_rejected(self, burglary_files, tmp_path,
                                        capsys):
         # Before, "0 1 0.01" was stored under variable 0 and never read.

@@ -1,5 +1,6 @@
 """Tests for the Shannon-expansion compiler and BN encoders."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
-                                  truth_value, validate)
+                                  format_nnf, truth_value, validate)
 from betacircuits.compile import (
     BayesNetSpec, BNNode, Theory, bn_compile_order, encode_bn, eval_formula,
     f_and, f_iff, f_not, f_or, f_var, shannon_compile, substitute, vars_of)
@@ -211,3 +212,63 @@ class TestBNEncoding:
             c = model.circuit(ev)
             assert len(c) < 200
             assert validate(c).violations == []
+
+
+def _planted_cnf(rng, n):
+    """A random 3-CNF of 3n clauses over 1..n that a hidden model satisfies."""
+    model = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+    clauses = []
+    while len(clauses) < 3 * n:
+        lits = [v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), 3)]
+        if any((lit > 0) == model[abs(lit)] for lit in lits):
+            clauses.append(f_or(*(f_var(lit) if lit > 0 else f_not(f_var(-lit))
+                                  for lit in lits)))
+    return Theory(n, tuple(clauses))
+
+
+@pytest.fixture(scope="module")
+def pinned_circuits():
+    """Every evidence key of every builtin, plus 60 seeded planted CNFs."""
+    from betacircuits.examples import BUILTIN_MODELS, smokers_model
+    models = [make() for make in BUILTIN_MODELS.values()]
+    models.append(smokers_model(shared_annotations=True))
+    out = []
+    for model in models:
+        evs = model.random_evidence_vars
+        for bits in itertools.product((False, True), repeat=len(evs)):
+            out.append(model.circuit(dict(zip(evs, bits))))
+    rng = random.Random(30)
+    out += [shannon_compile(_planted_cnf(rng, 6 + i % 9)) for i in range(60)]
+    return out
+
+
+class TestCompiledOutput:
+    def test_compiled_circuits_are_pinned(self, pinned_circuits):
+        # The compiler's exact output: a change of node order, ids or
+        # decision variables shows here before it moves any answer.
+        digest = hashlib.sha256()
+        for c in pinned_circuits:
+            digest.update(format_nnf(c).encode())
+        assert digest.hexdigest() == (
+            "f8d6ca7294466a49b188e1565c7360ace2b32077330568ba9769369e54c42dc6")
+
+    def test_every_or_is_a_decision(self, pinned_circuits):
+        # Each OR has the decision literal as its first branch and its
+        # negation as its second, each as the branch itself or as a child
+        # of the branch's AND.
+        ors = 0
+        for c in pinned_circuits:
+            for n in c.nodes:
+                if n.kind is not NodeKind.OR:
+                    continue
+                ors += 1
+                assert len(n.children) == 2
+                for child, lit in zip(n.children,
+                                      (n.decision_var, -n.decision_var)):
+                    branch = c.nodes[child]
+                    held = ({branch.literal}
+                            if branch.kind is NodeKind.LITERAL else
+                            {c.nodes[g].literal for g in branch.children})
+                    assert lit in held
+        assert ors > 1000

@@ -14,7 +14,7 @@ import pytest
 from betacircuits import betadist, examples, harness
 from betacircuits import circuit as circuit_module
 from betacircuits.betacalc import QueryResult
-from betacircuits.circuit import set_condition
+from betacircuits.circuit import CircuitError, set_condition
 from betacircuits.examples import BUILTIN_MODELS, burglary_labels
 from betacircuits.harness import (DEFAULT_GAMMAS, ExperimentConfig,
                                   run_experiment)
@@ -199,6 +199,16 @@ class TestRun:
         report = run_experiment(cfg)
         m = report.backends["cpb"]
         assert m.trials + m.failures == 30
+
+    def test_query_off_the_root_is_rejected(self, tmp_path):
+        # Before, every backend answered 1.0 and scored RMSE rows of 0.
+        path = tmp_path / "off.nnf"
+        path.write_text("nnf 5 2 2\nL 2\nL 1\nL -1\nO 1 2 1 2\nA 1 3\n")
+        cfg = ExperimentConfig(circuit_file=str(path), query_vars=(2,),
+                               n_ins=10, truth_draws=10, repetitions=3,
+                               seed=1, golden_samples=0)
+        with pytest.raises(CircuitError, match="query variable 2 does not"):
+            run_experiment(cfg)
 
     def test_mm_records_the_mean_infer_prints(self, monkeypatch):
         # mm's mean is the propagated E[X], as ``infer`` prints it, not its

@@ -91,3 +91,45 @@ def test_cli_and_harness_do_not_convert_answers():
             and getattr(node.func, "attr", getattr(node.func, "id", None))
             in converters]
     assert hits == []
+
+
+def _dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and assignments named ``_x`` (not
+    dunder) that no module of ``sources`` reads, as a name or attribute."""
+    defined = []
+    read = set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((name, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined += [(name, node.lineno, t.id) for t in targets
+                            if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name}:{line}: {ident}" for name, line, ident in defined
+            if ident.startswith("_") and not ident.startswith("__")
+            and ident not in read]
+
+
+def test_dead_definition_check_sees_names_and_attributes():
+    sources = {"a.py": "_x = 1\n_y: int = 2\n__all__ = []\n"
+                       "def _f(): return _x\nclass _C: pass\n",
+               "b.py": "import a\nprint(a._y)\n"}
+    assert _dead_private_definitions(sources) == ["a.py:4: _f", "a.py:5: _C"]
+
+
+def test_no_dead_private_definition():
+    # A private helper that a simplification leaves unread is dead code
+    # that the unused-import check does not see.
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    assert _dead_private_definitions(
+        {str(p.relative_to(SRC)): p.read_text() for p in files}) == []
