@@ -26,7 +26,9 @@ fold, so a wide gate never holds all its children.  ``eval_queries`` runs
 the pass for every value domain (point probabilities, opinions, moment
 pairs, Monte Carlo sample arrays); cpb's forward pass runs it on float
 means and ``validate`` on truth-table bitsets, both keeping every value;
-``_Schedule.adjoints`` reads the same folds in reverse for cpb.
+``_Schedule.adjoints`` reads the same folds in reverse for cpb.  Building
+a pass is also the one walk that finds which nodes reach the root, and so
+which variables a circuit has (``Circuit.variables``).
 
 File format (c2d-style NNF text):
 
@@ -82,7 +84,9 @@ class Circuit:
 
     ``set_condition`` sets ``zeroed``, the literals whose leaves evidence
     sets to 0, and stages ``query_literal``: each evaluator pins the leaves
-    of its negation to 0 for the numerator of the conditional.
+    of its negation to 0 for the numerator of the conditional.  The only
+    state derived from the nodes is the pass cache behind ``schedule``,
+    which every conditioning of one circuit shares.
     """
 
     nodes: list[CircuitNode]
@@ -90,8 +94,6 @@ class Circuit:
     var_count: int
     query_literal: Optional[int] = None
     zeroed: frozenset[int] = frozenset()
-    _scopes: Optional[list[frozenset[int]]] = field(
-        default=None, repr=False, compare=False)
     _schedules: dict[tuple, _Schedule] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -100,23 +102,6 @@ class Circuit:
 
     def node(self, nid: int) -> CircuitNode:
         return self.nodes[nid]
-
-    def scopes(self) -> list[frozenset[int]]:
-        """Per-node variable scopes (cached)."""
-        if self._scopes is None:
-            out: list[frozenset[int]] = []
-            for n in self.nodes:
-                if n.kind is NodeKind.LITERAL:
-                    out.append(frozenset((n.var,)))
-                elif n.kind in (NodeKind.TRUE, NodeKind.FALSE):
-                    out.append(frozenset())
-                else:
-                    acc: set[int] = set()
-                    for c in n.children:
-                        acc |= out[c]
-                    out.append(frozenset(acc))
-            self._scopes = out
-        return self._scopes
 
     def schedule(self, queries: tuple[int, ...]) -> _Schedule:
         """The lockstep pass of literals ``queries``, cached per zeroed set."""
@@ -127,7 +112,8 @@ class Circuit:
         return plan
 
     def variables(self) -> frozenset[int]:
-        return self.scopes()[self.root]
+        """The variables with a leaf that reaches the root, zeroed or not."""
+        return self.schedule(()).variables
 
 
 # ---------------------------------------------------------------------
@@ -241,30 +227,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _truth_tables(c: Circuit, columns: Mapping[int, int], full: int) -> list[int]:
-    """Every node's truth table as a bitset, by one pass that keeps them all.
-
-    Bit r of a table is the node's value on row r.  ``columns[v]`` is the
-    table of variable v and ``full`` has every row's bit set; a variable
-    missing from ``columns`` makes its literal leaves raise KeyError.  The
-    pass reads a zeroed literal's leaves as FALSE, so ``c`` is unconditioned.
-    """
-    plan = _Schedule.build(c, (), range(len(c)))
-    return plan.run(0, full, operator.or_, operator.and_,
-                    lambda lit: columns[lit] if lit > 0
-                    else full ^ columns[-lit])
-
-
-def truth_value(c: Circuit, assignment: Mapping[int, bool]) -> bool:
-    """Boolean value of the circuit under a (partial) variable assignment.
-
-    Variables missing from the assignment make literal leaves raise KeyError;
-    callers must cover the scope of the evaluated circuit.
-    """
-    columns = {v: int(bool(val)) for v, val in assignment.items()}
-    return bool(_truth_tables(c, columns, 1)[c.root])
-
-
 #: Past this many variables ``validate`` trusts determinism unchecked.
 MAX_CHECK_VARS = 16
 
@@ -272,19 +234,30 @@ MAX_CHECK_VARS = 16
 def validate(c: Circuit) -> ValidationReport:
     """Check decomposability (always exact) and determinism.
 
-    Determinism is checked exactly iff ``c.var_count <= MAX_CHECK_VARS``,
-    otherwise the circuit is trusted and a warning is recorded.  The check
-    is one pass that builds every node's truth table over all 2^V rows
-    of its V leaf variables (n * 2^V bits of memory); an OR node is
-    reported at the lowest row, restricted to its scope, where two children
-    hold.  Only unconditioned circuits come here (no literal is zeroed):
-    ``infer`` and the harness validate a circuit as parsed.
+    Decomposability reads each node's scope, formed children first in a
+    list local to this call.  Determinism is checked exactly iff
+    ``c.var_count <= MAX_CHECK_VARS``, otherwise the circuit is trusted and
+    a warning is recorded.  The check is one pass that keeps every node's
+    truth table, a bitset whose bit r is the node's value on row r of all
+    2^V rows of its V leaf variables (n * 2^V bits of memory); an OR node
+    is reported at the lowest row, restricted to its scope, where two
+    children hold.  Only unconditioned circuits come here (no literal is
+    zeroed): ``infer`` and the harness validate a circuit as parsed.
     """
     violations: list[str] = []
     warnings: list[str] = []
-    scopes = c.scopes()
 
+    scopes: list[frozenset[int]] = []
     for n in c.nodes:
+        if n.kind is NodeKind.LITERAL:
+            scopes.append(frozenset((n.var,)))
+        elif n.kind in (NodeKind.TRUE, NodeKind.FALSE):
+            scopes.append(frozenset())
+        else:
+            acc: set[int] = set()
+            for ch in n.children:
+                acc |= scopes[ch]
+            scopes.append(frozenset(acc))
         if n.kind is NodeKind.AND:
             seen: set[int] = set()
             for ch in n.children:
@@ -307,7 +280,10 @@ def validate(c: Circuit) -> ValidationReport:
     columns = {v: (((1 << (1 << j)) - 1) << (1 << j))
                * (full // ((1 << (2 << j)) - 1))
                for j, v in enumerate(variables)}
-    tables = _truth_tables(c, columns, full)
+    plan = _Schedule.build(c, (), range(len(c)))
+    tables = plan.run(0, full, operator.or_, operator.and_,
+                      lambda lit: columns[lit] if lit > 0
+                      else full ^ columns[-lit])
     for n in c.nodes:
         if n.kind is not NodeKind.OR:
             continue
@@ -338,24 +314,25 @@ def set_condition(c: Circuit, query: Optional[int],
     variable to ``c.zeroed``; a negative var reads as a literal, so
     (-v, True) is (v, False).  The query literal is only recorded: the
     evaluators pin its negation's leaves to 0 when they compute the
-    numerator of the conditional.  The result shares ``c``'s nodes, its
-    scopes and its cached passes.
+    numerator of the conditional.  The result shares ``c``'s nodes and its
+    cached passes.
 
     Raises CircuitError when an evidence variable is 0 or above
     ``c.var_count``, or the query variable has no leaf that reaches the
-    root.  Evidence on a variable with no leaf is accepted and changes no
-    answer.
+    root.  The query is checked on the result, by the pass that the
+    one-query evaluators then take from the cache.  Evidence on a variable
+    with no leaf is accepted and changes no answer.
     """
     contradicted = {(-v if val else v) for v, val in evidence}
     for lit in contradicted:
         if not 0 < abs(lit) <= c.var_count:
             raise CircuitError(f"evidence variable {abs(lit)} out of range "
                                f"1..{c.var_count}")
-    if query is not None:
-        query_literals(c, (query,))
     out = Circuit(c.nodes, c.root, c.var_count, query,
-                  c.zeroed | contradicted, c._scopes)
+                  c.zeroed | contradicted)
     out._schedules = c._schedules
+    if query is not None:
+        query_literals(out, (query,))
     return out
 
 
@@ -363,13 +340,16 @@ def query_literals(c: Circuit, queries: Iterable[int]) -> tuple[int, ...]:
     """The distinct ``queries`` in order, each checked to occur in ``c``.
 
     Raises ValueError when none is given and CircuitError when a query
-    variable has no leaf that reaches the root.
+    variable has no leaf that reaches the root (a leaf zeroed by evidence
+    counts).  Reads the variables of ``c.schedule(queries)``, the pass that
+    the caller runs next.
     """
     queries = tuple(dict.fromkeys(queries))
     if not queries:
         raise ValueError("no queries given")
+    variables = c.schedule(queries).variables
     for q in queries:
-        if abs(q) not in c.variables():
+        if abs(q) not in variables:
             raise CircuitError(
                 f"query variable {abs(q)} does not occur in circuit")
     return queries
@@ -513,6 +493,8 @@ class _Schedule:
     op, child slots): the evidence sweep's (the gates that reach the root),
     then each query's joint sweep's.  ``leaves`` are the leaves of literals
     not zeroed that reach the root: the only ones read from ``leaf``.
+    ``variables`` are the variables of every literal leaf that reaches the
+    root, zeroed or not.
     ``joint[q]`` maps each node that query q recomputes (the ``leaves`` of
     literal -q and their ancestors, in id order) to the slot of its joint
     value; slot i holds node i's evidence value, which every other node of
@@ -529,6 +511,7 @@ class _Schedule:
 
     folds: list[dict[int, tuple[int, int, tuple[int, ...]]]]
     leaves: list[int]
+    variables: frozenset[int]
     joint: dict[int, dict[int, int]]
     steps: list[tuple[int, int, int]]
     size: int
@@ -551,8 +534,8 @@ class _Schedule:
                 for ch in n.children:
                     reach[ch] = True
         order = [i for i in range(len(nodes)) if reach[i]]
-        leaves = [i for i in order if nodes[i].kind is NodeKind.LITERAL
-                  and nodes[i].literal not in c.zeroed]
+        literals = [i for i in order if nodes[i].kind is NodeKind.LITERAL]
+        leaves = [i for i in literals if nodes[i].literal not in c.zeroed]
         # Every gate of the evidence sweep: its id, fold step and children.
         gates = {i: (i, _TIMES if nodes[i].kind is NodeKind.AND else _PLUS,
                      nodes[i].children) for i in order if nodes[i].children}
@@ -619,7 +602,8 @@ class _Schedule:
                     else:
                         waiting.setdefault(kids[k], []).append(
                             (slot, op, kids))
-        return cls(folds, leaves, joint, steps, size)
+        return cls(folds, leaves, frozenset(nodes[i].var for i in literals),
+                   joint, steps, size)
 
     def run(self, zero, one, plus: Callable, times: Callable,
             leaf: Callable[[int], object], drop: bool = True) -> list:

@@ -4,6 +4,8 @@ import multiprocessing
 
 import pytest
 
+from betacircuits.circuit import NodeKind
+
 
 @pytest.fixture(autouse=True)
 def no_stray_processes():
@@ -36,3 +38,38 @@ def block_nnf(k: int) -> str:
 def make_block_nnf():
     """``block_nnf`` itself, for tests that need a large circuit."""
     return block_nnf
+
+
+def truth_value(c, assignment, nid=None):
+    """Boolean value of node ``nid`` (default: the root) under ``assignment``.
+
+    An oracle independent of the library's pass: it recurses from the node,
+    evaluating each node once and every child of a gate.  A literal leaf
+    reads its variable from ``assignment`` (KeyError if missing), whether
+    or not the literal is zeroed.
+    """
+    memo = {}
+
+    def value(i):
+        if i not in memo:
+            n = c.nodes[i]
+            if n.kind is NodeKind.LITERAL:
+                memo[i] = assignment[n.var] == (n.literal > 0)
+            else:
+                kids = [value(ch) for ch in n.children]
+                memo[i] = (all(kids) if n.kind in (NodeKind.AND, NodeKind.TRUE)
+                           else any(kids))
+        return memo[i]
+
+    return value(c.root if nid is None else nid)
+
+
+def scopes(c):
+    """Every node's variable scope, in node order."""
+    out = []
+    for n in c.nodes:
+        if n.kind is NodeKind.LITERAL:
+            out.append(frozenset((n.var,)))
+        else:
+            out.append(frozenset().union(*(out[ch] for ch in n.children)))
+    return out

@@ -3,8 +3,9 @@
 The traced runs of ``bench/workloads.py`` patch library attributes by
 name, and its ``scale`` workload calls one-query entry points directly.
 A change that renames or removes one of them breaks the benchmark and
-fails no other test.  These tests import the workloads, run none of them,
-and resolve every name; ``bench/`` itself is only read.
+fails no other test.  These tests import the workloads, resolve every
+name and make each workload's reduced inputs; they run no round, and
+``bench/`` itself is only read.
 """
 
 import importlib
@@ -35,6 +36,25 @@ def test_every_patch_target_resolves(bench, tmp_path):
         missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in targets
                    if not hasattr(owner, attr)]
         assert missing == [], name
+
+
+def test_every_reduced_build_runs(bench, tmp_path):
+    # Infer's build picks each CNF query from Circuit.variables() and
+    # writes every circuit with format_nnf.
+    workloads, _ = bench
+    built = {}
+    for name, cls in workloads.WORKLOADS.items():
+        wl = built[name] = cls(ROOT, tmp_path, 0, True)
+        wl.imports(False)
+        wl.build()
+    infer, scale = built["infer"], built["scale"]
+    assert len(infer.queries) == len(infer.builtins) + len(infer.cnf_vars)
+    for q in infer.queries:
+        c = workloads.bc_circuit.parse_nnf(q.paths[0].read_text())
+        assert q.query in c.variables(), q.tag
+    assert tuple(scale.texts) == scale.ladder + (scale.UNDERFLOW_BLOCKS,)
+    assert len(built["calibrate"].cells) == len(
+        workloads.Calibrate.REDUCED_MODELS)
 
 
 def test_scale_direct_calls_answer_under_the_tracer(bench, tmp_path):

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import scopes, truth_value
 from test_cpb import random_labels, random_theory
 from test_semirings import sweep
 
@@ -19,13 +20,15 @@ from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (
     CircuitError, LabelTable, NodeKind, eval_queries, format_label_table,
     format_nnf, parse_condition_file, parse_label_table, parse_nnf,
-    _Schedule, set_condition, truth_value, validate)
+    _Schedule, set_condition, validate)
 from betacircuits.compile import Theory, f_iff, f_not, f_var, shannon_compile
-from betacircuits.cpb import eval_cov_queries, parse_leaf_cov
+from betacircuits.cpb import (eval_cov, eval_cov_queries, parse_leaf_cov,
+                              shadow_circuit)
 from betacircuits.examples import (BUILTIN_MODELS, BURGLARY_NNF,
                                    burglary_circuit, burglary_labels)
 from betacircuits.mc import mc_eval
 from betacircuits.semirings import (InconsistentEvidenceError,
+                                    conditioned_eval,
                                     conditioned_eval_queries, mm_semiring,
                                     prob_semiring, sl_semiring)
 
@@ -84,24 +87,17 @@ def random_nnf(rng):
 def local_enumeration_violations(c):
     """Determinism oracle: each OR node's children, evaluated recursively
     on every assignment of the node's own scope in turn."""
-    def holds(nid, assignment):
-        n = c.nodes[nid]
-        if n.kind is NodeKind.LITERAL:
-            return assignment[n.var] == (n.literal > 0)
-        if n.kind is NodeKind.AND or n.kind is NodeKind.TRUE:
-            return all(holds(ch, assignment) for ch in n.children)
-        return any(holds(ch, assignment) for ch in n.children)
-
     out = []
-    scopes = c.scopes()
+    scope = scopes(c)
     for n in c.nodes:
         if n.kind is not NodeKind.OR:
             continue
-        local_vars = sorted(scopes[n.id])
+        local_vars = sorted(scope[n.id])
         for bits in range(1 << len(local_vars)):
             assignment = {v: bool((bits >> i) & 1)
                           for i, v in enumerate(local_vars)}
-            sat = [ch for ch in n.children if holds(ch, assignment)]
+            sat = [ch for ch in n.children
+                   if truth_value(c, assignment, ch)]
             if len(sat) > 1:
                 out.append(f"node {n.id}: OR children {sat} overlap on "
                            f"assignment {assignment}")
@@ -478,9 +474,16 @@ class TestConditioning:
         # The original circuit is untouched.
         assert c.zeroed == frozenset()
 
-    def test_missing_query_variable_rejected(self):
+    def test_missing_query_variable_rejected(self, make_block_nnf):
         with pytest.raises(CircuitError, match="does not occur"):
             set_condition(burglary_circuit(), query=9)
+        # Evidence zeroes the only leaf of variable 3; the variable still
+        # occurs, though the pass reads no leaf of it.
+        staged = set_condition(parse_nnf(make_block_nnf(2)), query=3,
+                               evidence=[(3, False)])
+        assert 3 in staged.variables()
+        assert all(staged.nodes[i].var != 3
+                   for i in staged.schedule((3,)).leaves)
 
     def test_conditioning_copies_no_node(self):
         c = burglary_circuit()
@@ -522,6 +525,15 @@ class TestConditioning:
         copy = replace(set_condition(c, 1, [(2, False)]))
         conditioned_eval_queries(copy, prob_semiring(), labels, (1,))
         assert builds == [{2}, {-2}, {2}]
+        # set_condition checks its query on the pass that each one-query
+        # backend then takes from the cache.
+        del builds[:]
+        for evidence in ([(3, True)], [(2, False), (3, True)]):
+            staged = set_condition(c, query=1, evidence=evidence)
+            eval_cov(shadow_circuit(staged), labels)
+            mc_eval(staged, labels, 10)
+            conditioned_eval(staged, prob_semiring(), labels)
+        assert builds == [{-3}, {2, -3}]
 
 
 class TestLabelTable:

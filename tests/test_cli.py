@@ -295,7 +295,8 @@ class TestInfer:
             assert float(out.split()[0]) == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("backend", ["prob", "sl", "mm", "cpb", "mc"])
-    def test_query_off_the_root_exits_2(self, tmp_path, capsys, backend):
+    def test_query_off_the_root_exits_2(self, tmp_path, capsys, backend,
+                                        make_block_nnf):
         # Leaf 0 (variable 2) feeds nothing that reaches the root.  Before,
         # every backend answered "1.0 0.0 inf 1" with exit 0.
         circuit, labels = tmp_path / "off.nnf", tmp_path / "off.labels"
@@ -306,6 +307,16 @@ class TestInfer:
                            "--backend", backend)
         assert (rc, out) == (2, "")
         assert err == "error: query variable 2 does not occur in circuit\n"
+        # Evidence zeroes the only leaf of variable 3, which still occurs.
+        circuit.write_text(make_block_nnf(2))
+        labels.write_text("".join(f"{v} 2 3\n" for v in range(1, 7)))
+        cond = tmp_path / "off.cond"
+        cond.write_text("query 3\nevidence 3 0\n")
+        rc, out, err = run(capsys, "infer", "--circuit", circuit,
+                           "--labels", labels, "--evidence", cond,
+                           "--backend", backend)
+        assert (rc, err) == (0, "")
+        assert len(out.split()) == 4
 
     def test_cov_literal_0_is_rejected(self, burglary_files, tmp_path,
                                        capsys):

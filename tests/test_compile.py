@@ -8,12 +8,13 @@ import pytest
 
 from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
-                                  format_nnf, truth_value, validate)
+                                  format_nnf, validate)
 from betacircuits.compile import (
     BayesNetSpec, BNNode, Theory, bn_compile_order, encode_bn, eval_formula,
     f_and, f_iff, f_not, f_or, f_var, shannon_compile, substitute, vars_of)
 from betacircuits.semirings import prob_semiring
 
+from conftest import truth_value
 from test_semirings import sweep
 
 

@@ -360,10 +360,15 @@ class TestManyQueries:
             for spec, got in zip(specs, values):
                 assert got[q] == conditioned_eval(staged, spec, labels)
 
-    def test_checks_queries(self):
+    def test_checks_queries(self, make_block_nnf):
         c = burglary_circuit()
         with pytest.raises(CircuitError, match="does not occur"):
             eval_cov_queries(c, (1, 4), burglary_labels())
+        # Evidence zeroes the only leaf of variable 3, which still occurs.
+        zeroed = set_condition(parse_nnf(make_block_nnf(2)), None,
+                               [(3, False)])
+        eval_cov_queries(zeroed, (3,), random_labels(random.Random(5),
+                                                     range(1, 7)))
         with pytest.raises(ValueError, match="no queries"):
             eval_cov_queries(c, (), burglary_labels())
 

@@ -272,13 +272,18 @@ class TestSharedDraw:
         assert peaks[300] <= 1.5 * peaks[30]
         assert peaks[300] <= 0.5e6
 
-    def test_argument_errors(self):
+    def test_argument_errors(self, make_block_nnf):
         with pytest.raises(ValueError, match="no queries"):
             mc_eval_queries(STAGED, (), burglary_labels(), 10)
         with pytest.raises(ValueError, match="n_samples"):
             mc_eval_queries(STAGED, (1,), burglary_labels(), 0)
         with pytest.raises(CircuitError, match="does not occur"):
             mc_eval_queries(STAGED, (1, 4), burglary_labels(), 10)
+        # Evidence zeroes the only leaf of variable 3, which still occurs.
+        zeroed = set_condition(parse_nnf(make_block_nnf(2)), None,
+                               [(3, False)])
+        labels = LabelTable({v: BetaLabel(2.0, 3.0) for v in range(1, 7)})
+        mc_eval_queries(zeroed, (3,), labels, 10)
 
 
 #: The smoothed one-variable circuit: its query's conditional is theta_1.
