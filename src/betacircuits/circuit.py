@@ -24,11 +24,13 @@ advance together, node by node.  Each gate folds its children one at a
 time, as soon as each is ready, and each value is dropped after its last
 fold, so a wide gate never holds all its children.  ``eval_queries`` runs
 the pass for every value domain (point probabilities, opinions, moment
-pairs, Monte Carlo sample arrays); cpb's forward pass runs it on float
-means and ``validate`` on truth-table bitsets, both keeping every value;
-``_Schedule.adjoints`` reads the same folds in reverse for cpb.  Building
-a pass is also the one walk that finds which nodes reach the root, and so
-which variables a circuit has (``Circuit.variables``).
+pairs, Monte Carlo sample arrays) and reads each sweep's root from
+``_Schedule.roots``; cpb's forward pass runs it on float means, keeping
+every value, and ``_Schedule.adjoints`` reads the same folds in reverse
+from each root.  ``validate`` runs a pass of every node on scope bitmasks
+and, up to 16 variables, on truth tables.  Building a pass is also the
+one walk that finds which nodes reach the root, and so which variables a
+circuit has (``Circuit.variables``).
 
 File format (c2d-style NNF text):
 
@@ -234,38 +236,35 @@ MAX_CHECK_VARS = 16
 def validate(c: Circuit) -> ValidationReport:
     """Check decomposability (always exact) and determinism.
 
-    Decomposability reads each node's scope, formed children first in a
-    list local to this call.  Determinism is checked exactly iff
+    Both checks run one pass of every node, which keeps every value.
+    Decomposability folds each node's scope through it as a bitmask, bit j
+    standing for the j-th smallest leaf variable, and reports an AND whose
+    children's masks overlap.  Determinism is checked exactly iff
     ``c.var_count <= MAX_CHECK_VARS``, otherwise the circuit is trusted and
-    a warning is recorded.  The check is one pass that keeps every node's
-    truth table, a bitset whose bit r is the node's value on row r of all
-    2^V rows of its V leaf variables (n * 2^V bits of memory); an OR node
-    is reported at the lowest row, restricted to its scope, where two
-    children hold.  Only unconditioned circuits come here (no literal is
-    zeroed): ``infer`` and the harness validate a circuit as parsed.
+    a warning is recorded.  The check runs the same pass on truth tables:
+    bitsets whose bit r is the node's value on row r of all 2^V rows of
+    its V leaf variables (n * 2^V bits of memory); an OR node is reported
+    at the lowest row, restricted to its scope, where two children hold.
+    Only unconditioned circuits come here (no literal is zeroed): ``infer``
+    and the harness validate a circuit as parsed.
     """
     violations: list[str] = []
     warnings: list[str] = []
-
-    scopes: list[frozenset[int]] = []
+    plan = _Schedule.build(c, (), range(len(c)))
+    variables = sorted(plan.variables)
+    bits = {v: 1 << j for j, v in enumerate(variables)}
+    masks = plan.run(0, 0, operator.or_, operator.or_,
+                     lambda lit: bits[abs(lit)])
     for n in c.nodes:
-        if n.kind is NodeKind.LITERAL:
-            scopes.append(frozenset((n.var,)))
-        elif n.kind in (NodeKind.TRUE, NodeKind.FALSE):
-            scopes.append(frozenset())
-        else:
-            acc: set[int] = set()
-            for ch in n.children:
-                acc |= scopes[ch]
-            scopes.append(frozenset(acc))
         if n.kind is NodeKind.AND:
-            seen: set[int] = set()
+            seen = 0
             for ch in n.children:
-                overlap = seen & scopes[ch]
+                overlap = seen & masks[ch]
                 if overlap:
                     violations.append(
-                        f"node {n.id}: AND children share variables {sorted(overlap)}")
-                seen |= scopes[ch]
+                        f"node {n.id}: AND children share variables "
+                        f"{[v for v in variables if overlap & bits[v]]}")
+                seen |= masks[ch]
 
     determinism_exact = c.var_count <= MAX_CHECK_VARS
     if not determinism_exact:
@@ -274,13 +273,11 @@ def validate(c: Circuit) -> ValidationReport:
             f"MAX_CHECK_VARS={MAX_CHECK_VARS}; circuit trusted")
         return ValidationReport(violations, warnings, determinism_exact)
 
-    variables = sorted({n.var for n in c.nodes if n.kind is NodeKind.LITERAL})
     full = (1 << (1 << len(variables))) - 1
     # Variable j is bit j of the row index: runs of 2^j zeros then 2^j ones.
     columns = {v: (((1 << (1 << j)) - 1) << (1 << j))
                * (full // ((1 << (2 << j)) - 1))
                for j, v in enumerate(variables)}
-    plan = _Schedule.build(c, (), range(len(c)))
     tables = plan.run(0, full, operator.or_, operator.and_,
                       lambda lit: columns[lit] if lit > 0
                       else full ^ columns[-lit])
@@ -295,7 +292,8 @@ def validate(c: Circuit) -> ValidationReport:
             row = (overlap & -overlap).bit_length() - 1
             sat = [ch for ch in n.children if (tables[ch] >> row) & 1]
             assignment = {v: bool((row >> j) & 1)
-                          for j, v in enumerate(variables) if v in scopes[n.id]}
+                          for j, v in enumerate(variables)
+                          if masks[n.id] & bits[v]}
             violations.append(
                 f"node {n.id}: OR children {sat} overlap on "
                 f"assignment {assignment}")
@@ -342,7 +340,8 @@ def query_literals(c: Circuit, queries: Iterable[int]) -> tuple[int, ...]:
     Raises ValueError when none is given and CircuitError when a query
     variable has no leaf that reaches the root (a leaf zeroed by evidence
     counts).  Reads the variables of ``c.schedule(queries)``, the pass that
-    the caller runs next.
+    the caller runs next, and drops that pass from the cache when it
+    raises.
     """
     queries = tuple(dict.fromkeys(queries))
     if not queries:
@@ -350,6 +349,7 @@ def query_literals(c: Circuit, queries: Iterable[int]) -> tuple[int, ...]:
     variables = c.schedule(queries).variables
     for q in queries:
         if abs(q) not in variables:
+            del c._schedules[c.zeroed, queries]
             raise CircuitError(
                 f"query variable {abs(q)} does not occur in circuit")
     return queries
@@ -494,11 +494,13 @@ class _Schedule:
     then each query's joint sweep's.  ``leaves`` are the leaves of literals
     not zeroed that reach the root: the only ones read from ``leaf``.
     ``variables`` are the variables of every literal leaf that reaches the
-    root, zeroed or not.
-    ``joint[q]`` maps each node that query q recomputes (the ``leaves`` of
-    literal -q and their ancestors, in id order) to the slot of its joint
-    value; slot i holds node i's evidence value, which every other node of
-    the joint sweep reads.  ``steps`` reads ``leaves`` once each, in id order
+    root, zeroed or not.  Slot i holds node i's evidence value.  A query's
+    joint sweep recomputes the ``leaves`` of its negation and their
+    ancestors, each into a slot of its own past the nodes', and reads every
+    other node's evidence value.  ``roots`` holds the slot of each sweep's
+    root, aligned with ``folds``: ``roots[0]`` is the root, and so is the
+    root of a query whose sweep is empty (no leaf of its negation).
+    ``steps`` reads ``leaves`` once each, in id order
     (Monte Carlo draws each variable at its first read), and folds each
     gate of each sweep into its slot in file order, one child per step:
     the step that folds child k runs as soon as that child's value and the
@@ -512,7 +514,7 @@ class _Schedule:
     folds: list[dict[int, tuple[int, int, tuple[int, ...]]]]
     leaves: list[int]
     variables: frozenset[int]
-    joint: dict[int, dict[int, int]]
+    roots: list[int]
     steps: list[tuple[int, int, int]]
     size: int
 
@@ -539,7 +541,8 @@ class _Schedule:
         # Every gate of the evidence sweep: its id, fold step and children.
         gates = {i: (i, _TIMES if nodes[i].kind is NodeKind.AND else _PLUS,
                      nodes[i].children) for i in order if nodes[i].children}
-        joint: dict[int, dict[int, int]] = {}
+        # Per query, each node it recomputes -> the slot of its joint value.
+        joint: list[dict[int, int]] = []
         size = len(nodes)
         for q in queries:
             # Children come first, so one scan in id order finds every
@@ -548,23 +551,22 @@ class _Schedule:
             for i, _, kids in gates.values():
                 if not dirty.isdisjoint(kids):
                     dirty.add(i)
-            joint[q] = {i: size + k for k, i in enumerate(sorted(dirty))}
+            joint.append({i: size + k for k, i in enumerate(sorted(dirty))})
             size += len(dirty)
 
         # Each query's joint sweep folds its gates into their joint slots.
         folds = [gates] + [
             {i: (slots[i], op, tuple(slots.get(ch, ch) for ch in kids))
              for i, op, kids in gates.values() if i in slots}
-            for slots in joint.values()]
+            for slots in joint]
+        roots = [c.root] + [slots.get(c.root, c.root) for slots in joint]
         reads = [0] * size
         waiting: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
         for fold in chain.from_iterable(sweep.values() for sweep in folds):
             for ch in fold[2]:
                 reads[ch] += 1
             waiting.setdefault(fold[2][0], []).append(fold)
-        keep = set(tops)
-        keep.update(slots[c.root] for slots in joint.values()
-                    if c.root in slots)
+        keep = set(tops + roots)
 
         steps: list[tuple[int, int, int]] = []
         read = set(leaves)
@@ -580,7 +582,7 @@ class _Schedule:
                 steps.append((_ONE if n.kind is NodeKind.TRUE else _ZERO,
                               i, 0))
             stack = [i]
-            for slots in joint.values():
+            for slots in joint:
                 if i in slots:
                     steps.append((_ZERO, slots[i], 0))
                     stack.append(slots[i])
@@ -603,7 +605,7 @@ class _Schedule:
                         waiting.setdefault(kids[k], []).append(
                             (slot, op, kids))
         return cls(folds, leaves, frozenset(nodes[i].var for i in literals),
-                   joint, steps, size)
+                   roots, steps, size)
 
     def run(self, zero, one, plus: Callable, times: Callable,
             leaf: Callable[[int], object], drop: bool = True) -> list:
@@ -632,24 +634,20 @@ class _Schedule:
                 values[slot] = zero if op == _ZERO else one
         return values
 
-    def adjoints(self, values: list,
-                 tops: Iterable[int]) -> Iterator[list[float]]:
-        """Per slot of ``tops``, every slot's adjoint d top / d slot.
+    def adjoints(self, values: list) -> Iterator[list[float]]:
+        """Per sweep, every slot's adjoint d root / d slot of its root.
 
         ``values`` are ``run``'s on floats with ``drop=False``.  Each AND's
         weights dn/dc, the leave-one-out products of its children's values,
-        are formed once.  A top's sweep visits the evidence gates last to
-        first, each as its fold in the top's joint sweep if that recomputes
-        it: an OR passes its adjoint to each child, and an AND multiplies it
-        by the child's weight.
+        are formed once.  Sweep k's walk starts from ``roots[k]`` and visits
+        the evidence gates last to first, each as its fold in sweep k if
+        that recomputes it: an OR passes its adjoint to each child, and an
+        AND multiplies it by the child's weight.
         """
         weights = {slot: _leave_one_out([values[ch] for ch in kids])
                    for sweep in self.folds for slot, op, kids in sweep.values()
                    if op == _TIMES}
-        own = {fold[0]: sweep for sweep in self.folds[1:]
-               for fold in sweep.values()}
-        for top in tops:
-            sweep = own.get(top, {})
+        for top, sweep in zip(self.roots, self.folds):
             adjoint = [0.0] * self.size
             adjoint[top] = 1.0
             for i, fold in reversed(self.folds[0].items()):
@@ -694,12 +692,14 @@ def eval_queries(c: Circuit, queries: Iterable[int], zero, one,
     The evidence sweep gives a zeroed literal's leaf ``zero`` and any other
     literal leaf ``leaf_value(lit)``.  A query's joint sweep also gives the
     leaves of its negation ``zero``; it recomputes only their ancestors and
-    reads every other node's evidence value, so each root equals that of
-    a full sweep.  Only nodes that reach the root are evaluated, and each
-    value is dropped after its last fold.  ``queries`` are literals, not
-    checked against ``c``; their schedule is cached on ``c``.
+    reads every other node's evidence value, so each root, read from the
+    pass's ``roots``, equals that of a full sweep.  Only nodes that reach
+    the root are evaluated, and each value is dropped after its last fold.
+    ``queries`` are literals, not checked against ``c``; their schedule is
+    cached on ``c``.
     """
-    plan = c.schedule(tuple(queries))
+    queries = tuple(queries)
+    plan = c.schedule(queries)
     values = plan.run(zero, one, plus, times, leaf_value)
-    return values[c.root], {q: values[slots.get(c.root, c.root)]
-                            for q, slots in plan.joint.items()}
+    ev, *joints = (values[r] for r in plan.roots)
+    return ev, dict(zip(queries, joints))

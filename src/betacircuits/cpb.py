@@ -155,7 +155,7 @@ class ShadowedCircuit:
     """A circuit with a staged query, and the slot count of its pass.
 
     ``n_total`` is ``len(circuit)`` plus the number of nodes that the
-    query's numerator recomputes (its ``joint`` schedule).
+    query's numerator recomputes: the slot count of its pass.
     """
 
     circuit: Circuit
@@ -219,10 +219,9 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
             grad[v] = grad.get(v, 0.0) + sign * adjoint[i]
         return grad
 
-    tops = [c.root] + [plan.joint[q].get(c.root, c.root) for q in queries]
-    g_den, *g_nums = map(by_variable, plan.adjoints(values, tops))
+    g_den, *g_nums = map(by_variable, plan.adjoints(values))
     out = {}
-    for q, top, g_num in zip(queries, tops[1:], g_nums):
+    for q, top, g_num in zip(queries, plan.roots[1:], g_nums):
         mean = values[top] / mean_den
         rho = {v: (g_num[v] - mean * d) / mean_den for v, d in g_den.items()}
         terms = [labels.variance_of(v) * r * r for v, r in rho.items()]

@@ -26,7 +26,6 @@ children is fixed to file order for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Iterable
 
 from . import betacalc
@@ -196,13 +195,13 @@ def conditioned_eval_queries(c: Circuit, spec: SemiringSpec,
 
     ``c``'s staged query, if any, is ignored; ``queries`` are query
     literals.  One ``eval_queries`` call gives the evidence and every
-    query's joint, converting each literal's label once, and each query
+    query's joint, converting each leaf's label once, and each query
     adds one division, which raises InconsistentEvidenceError when the
     evidence evaluates to the additive identity.
     """
     ev, joints = eval_queries(
         c, query_literals(c, queries), spec.zero, spec.one, spec.plus,
-        spec.times, cache(lambda lit: spec.from_label(labels.label_of(lit))))
+        spec.times, lambda lit: spec.from_label(labels.label_of(lit)))
     return {q: spec.divide(joint, ev) for q, joint in joints.items()}
 
 

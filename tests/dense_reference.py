@@ -3,14 +3,16 @@
 ``moment_sweep`` propagates every node's mean and its covariance row
 against every other node of a shadowed circuit (cov[n,z] = sum_c w_c
 cov[c,z]): the base nodes plus a shadow copy of each node that the staged
-query's numerator recomputes, so that one matrix carries both roots.  The
-shadow copies are the query's ``joint`` slots in ``Circuit.schedule``.
-It forms its own gate means and weights: an OR's mean is the
-fsum of its children's and each weight is 1; an AND's mean is their
-product and each child's weight the product of the other children's
-means.  It yields the same first-order moments as ``cpb.eval_cov``'s
-gradient form, and lets the tests inspect the covariance of any two
-nodes.
+query's numerator recomputes, so that one matrix carries both roots.
+It forms its own gate means and weights: an OR's mean is the fsum of its
+children's and each weight is 1; an AND's mean is their product and each
+child's weight the product of the other children's means.  It yields the
+same first-order moments as ``cpb.eval_cov``'s gradient form, and lets
+the tests inspect the covariance of any two nodes.
+
+``shadow_ids`` finds the shadowed nodes by its own walk, not from the
+library's pass, and numbers them as the query's joint sweep numbers its
+slots (from ``len(c)``, in id order).
 
 ``conditioned_moments`` conditions on the dense matrix with the
 three-term delta formula over var[X], var[Y] and cov[X, Y], a different
@@ -32,12 +34,26 @@ from betacircuits.semirings import InconsistentEvidenceError
 def shadow_ids(sc: ShadowedCircuit) -> dict[int, int]:
     """Each node the staged query's numerator recomputes -> its shadow id.
 
-    These are the ``joint`` slots of the query's schedule: shadow ids
-    start at ``len(sc.circuit)``, in base id order.  With no negated-query
-    leaf the map is empty and the shadow root is the base root.
+    These are the leaves of the negated query that reach the root and are
+    not zeroed, and their ancestors.  Shadow ids start at
+    ``len(sc.circuit)``, in base id order.  With no such leaf the map is
+    empty and the shadow root is the base root.
     """
-    q = sc.circuit.query_literal
-    return sc.circuit.schedule((q,)).joint[q]
+    c, q = sc.circuit, sc.circuit.query_literal
+    reach = {c.root}
+    for n in reversed(c.nodes):
+        if n.id in reach:
+            reach.update(n.children)
+    dirty: set[int] = set()
+    for n in c.nodes:
+        if n.id not in reach:
+            continue
+        if (n.kind is NodeKind.LITERAL and n.literal == -q
+                and n.literal not in c.zeroed):
+            dirty.add(n.id)
+        elif not dirty.isdisjoint(n.children):
+            dirty.add(n.id)
+    return {b: len(c) + k for k, b in enumerate(sorted(dirty))}
 
 
 def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
@@ -72,7 +88,7 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
                 cov[a.id, b.id] = cov[b.id, a.id] = leaf_cov.lookup(
                     labels, a.literal, b.literal)
 
-    # The shadow copy of node b is the query's joint slot shadow[b], and
+    # The shadow copy of node b is node shadow[b], and
     # a shadow gate reads the shadow copy of each child that has one.  The
     # shadow leaves (the negated-query leaves) keep mean 0 and a zero row.
     shadow = shadow_ids(sc)

@@ -140,7 +140,7 @@ class TestCriterion2IntermediateMoments:
         assert means[4] == pytest.approx(0.18, abs=1e-3)
         assert means[5] == pytest.approx(0.28, abs=1e-3)
         assert means[6] == pytest.approx(0.196, abs=1e-3)
-        assert means[c.schedule((1,)).joint[1][c.root]] == pytest.approx(
+        assert means[c.schedule((1,)).roots[1]] == pytest.approx(
             0.07, abs=1e-3)
 
     def test_node_variances(self):

@@ -4,7 +4,8 @@ The traced runs of ``bench/workloads.py`` patch library attributes by
 name, and its ``scale`` workload calls one-query entry points directly.
 A change that renames or removes one of them breaks the benchmark and
 fails no other test.  These tests import the workloads, resolve every
-name and make each workload's reduced inputs; they run no round, and
+name, make each workload's reduced inputs and run one reduced round of
+each in-process, which must pass the bench's own answer checks.
 ``bench/`` itself is only read.
 """
 
@@ -55,6 +56,22 @@ def test_every_reduced_build_runs(bench, tmp_path):
     assert tuple(scale.texts) == scale.ladder + (scale.UNDERFLOW_BLOCKS,)
     assert len(built["calibrate"].cells) == len(
         workloads.Calibrate.REDUCED_MODELS)
+
+
+def test_every_reduced_round_is_correct(bench, tmp_path):
+    # The round that a traced run replays: infer through cli.main, scale
+    # and calibrate as timed.  Each answer must pass the bench's checks.
+    workloads, _ = bench
+    for name, cls in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        wl = cls(ROOT, work, 0, True)
+        wl.imports(True)
+        wl.build()
+        tally = workloads.Tally()
+        wl.traced_round(0, tally, None)
+        assert (tally.problems, tally.failed) == ([], 0), name
+        assert tally.answers == tally.attempted > 0, name
 
 
 def test_scale_direct_calls_answer_under_the_tracer(bench, tmp_path):

@@ -386,16 +386,20 @@ FOLD_ORDER_NNF = ("nnf 11 13 3\n"
                   "O 0 3 9 4 9\n")
 
 
-def full_fold_pass(c):
-    """``_Schedule.run`` by ``full_values``: every sweep folds every node
-    whole, and nothing is dropped."""
+def full_fold_pass(c, queries):
+    """``_Schedule.run`` by ``full_values`` for the pass of ``queries``:
+    every sweep folds every node whole, and nothing is dropped."""
     def run(plan, zero, one, plus, times, leaf, drop=True):
         ops = (zero, one, plus, times, leaf)
         values = full_values(c, *ops) + [None] * (plan.size - len(c))
-        for q, slots in plan.joint.items():
+        for q, root, sweep in zip(queries, plan.roots[1:], plan.folds[1:]):
+            # Each joint slot is the root's or a recomputed gate's child's.
             joint = full_values(c, *ops, -q)
-            for i, slot in slots.items():
-                values[slot] = joint[i]
+            values[root] = joint[c.root]
+            for i, (_, _, kids) in sweep.items():
+                for ch, slot in zip(c.nodes[i].children, kids):
+                    if slot >= len(c):
+                        values[slot] = joint[ch]
         return values
     return run
 
@@ -439,7 +443,7 @@ class TestFoldOrder:
                             if n.kind is NodeKind.LITERAL})
         labels = random_labels(random.Random(13), variables)
         got = eval_cov_queries(c, queries, labels)
-        monkeypatch.setattr(_Schedule, "run", full_fold_pass(c))
+        monkeypatch.setattr(_Schedule, "run", full_fold_pass(c, queries))
         want = eval_cov_queries(c, queries, labels)
         assert ({q: (r.mean, r.variance) for q, r in got.items()}
                 == {q: (r.mean, r.variance) for q, r in want.items()})
@@ -484,6 +488,17 @@ class TestConditioning:
         assert 3 in staged.variables()
         assert all(staged.nodes[i].var != 3
                    for i in staged.schedule((3,)).leaves)
+
+    def test_rejected_query_leaves_no_pass(self):
+        c = burglary_circuit()
+        with pytest.raises(CircuitError, match="does not occur"):
+            set_condition(c, query=9)
+        with pytest.raises(CircuitError, match="does not occur"):
+            eval_cov_queries(c, (1, 9), burglary_labels())
+        assert list(c._schedules) == []
+        # A query that passes keeps its pass for the evaluator.
+        set_condition(c, query=1)
+        assert list(c._schedules) == [(frozenset(), (1,))]
 
     def test_conditioning_copies_no_node(self):
         c = burglary_circuit()

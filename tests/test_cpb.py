@@ -22,7 +22,7 @@ from betacircuits.semirings import (InconsistentEvidenceError,
                                     conditioned_eval_queries, mm_semiring,
                                     prob_semiring, sl_semiring)
 
-from dense_reference import conditioned_moments, moment_sweep
+from dense_reference import conditioned_moments, moment_sweep, shadow_ids
 
 # Frozen oracle values for the burglary query (derived from independent
 # hand arithmetic, enumeration, and the point-probability backend).
@@ -116,12 +116,13 @@ class TestLeafCovariance:
 class TestShadowing:
     def test_burglary_shadow_set(self):
         c = staged_burglary()
-        joint = c.schedule((1,)).joint[1]
+        joint = shadow_ids(shadow_circuit(c))
         # The not-burglary leaf (id 1) and its ancestor chain 4, 5, 6.
         assert joint == {1: 7, 4: 8, 5: 9, 6: 10}
         assert [joint[i] for i in joint if not c.node(i).children] == [7]
         assert c.root == 6
         assert joint[c.root] == 10
+        assert c.schedule((1,)).roots == [6, 10]
         assert shadow_circuit(c).n_total == 11
 
     def test_requires_staged_query(self):
@@ -131,8 +132,9 @@ class TestShadowing:
     def test_implied_query_degenerates(self):
         # No not-query leaf: the conditional is trivially 1.
         c = set_condition(parse_nnf("nnf 1 0 1\nL 1\n"), query=1)
-        assert c.schedule((1,)).joint[1] == {}
         sc = shadow_circuit(c)
+        assert shadow_ids(sc) == {}
+        assert c.schedule((1,)).roots == [c.root, c.root]
         assert sc.n_total == len(c)
         res = eval_cov(sc, LabelTable({1: BetaLabel(2, 2)}))
         assert res.mean == 1.0
@@ -218,7 +220,7 @@ class TestBurglaryGoldens:
         assert means[4] == pytest.approx(0.18)
         assert means[5] == pytest.approx(0.28)
         assert means[6] == pytest.approx(0.196)
-        assert means[c.schedule((1,)).joint[1][c.root]] == pytest.approx(0.07)
+        assert means[c.schedule((1,)).roots[1]] == pytest.approx(0.07)
 
     def test_diagonal_covariances(self):
         sc = shadow_circuit(staged_burglary())
