@@ -15,7 +15,7 @@ from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable, NodeKind,
                       format_nnf, parse_nnf, set_condition, validate)
 from .cpb import (LeafCovariance, ShadowedCircuit, eval_cov, eval_cov_queries,
                   shadow_circuit)
-from .learn import Dataset, fit_complete, sample_observations
+from .learn import fit_complete, sample_observations
 from .mc import MCResult, mc_eval, mc_eval_queries, mc_strength
 from .semirings import (InconsistentEvidenceError, SemiringSpec,
                         conditioned_eval, conditioned_eval_queries,
@@ -29,7 +29,7 @@ __all__ = [
     "format_nnf", "parse_nnf", "set_condition", "validate",
     "LeafCovariance", "ShadowedCircuit", "eval_cov", "eval_cov_queries",
     "shadow_circuit",
-    "Dataset", "fit_complete", "sample_observations",
+    "fit_complete", "sample_observations",
     "MCResult", "mc_eval", "mc_eval_queries", "mc_strength",
     "InconsistentEvidenceError", "SemiringSpec", "conditioned_eval",
     "conditioned_eval_queries", "mm_semiring", "prob_semiring",

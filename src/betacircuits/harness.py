@@ -112,8 +112,8 @@ class ExperimentConfig:
     alternatively ``circuit_file`` + ``query_vars`` run a fixed circuit
     whose labelled variables are all treated as learnable.  ``backends``
     are distinct names from {cpb, mm, sl, mc:<k>}, and ``gammas`` distinct
-    levels in (0, 1).  ``fast`` shrinks the trial counts (30 truth draws
-    x 5 repetitions instead of 100 x 10) for CI.
+    levels in (0, 1).  A run is ``truth_draws`` x ``repetitions`` trials
+    per query, at least 30 of them.
     """
 
     model: Optional[str] = None
@@ -126,7 +126,6 @@ class ExperimentConfig:
     backends: tuple[str, ...] = ("cpb", "mm", "sl")
     gammas: tuple[float, ...] = DEFAULT_GAMMAS
     seed: int = 0
-    fast: bool = False
     golden_samples: int = 10000
 
     def __post_init__(self) -> None:
@@ -151,15 +150,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer")
         if any(type(q) is not int for q in self.query_vars):
             raise ValueError("query_vars must be integers")
-        if not isinstance(self.fast, bool):
-            raise ValueError("fast must be true or false")
         for name, low in (("n_ins", 1), ("truth_draws", 1),
                           ("repetitions", 1), ("seed", 0),
                           ("golden_samples", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        g, r = self.trial_shape
-        if g * r < 30:
+        if self.truth_draws * self.repetitions < 30:
             raise ValueError("need at least 30 trials (truth_draws x "
                              "repetitions) for calibration statistics")
         if not self.backends:
@@ -171,13 +167,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not repeat a value")
         if not self.gammas or not all(0.0 < x < 1.0 for x in self.gammas):
             raise ValueError("gammas must be one or more values in (0, 1)")
-
-    @property
-    def trial_shape(self) -> tuple[int, int]:
-        """(truth draws, repetitions per truth), honoring fast mode."""
-        if self.fast:
-            return min(self.truth_draws, 30), min(self.repetitions, 5)
-        return self.truth_draws, self.repetitions
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -370,7 +359,7 @@ def _truth_draws(cfg: ExperimentConfig, model: ExampleModel
                  ) -> list[_TruthDraw]:
     """Every truth draw of the run, drawn from the label stream in order."""
     rng = np.random.default_rng(cfg.seed)
-    n_truths, n_reps = cfg.trial_shape
+    n_truths, n_reps = cfg.truth_draws, cfg.repetitions
     golden_seeds, mc_seeds = (
         child.spawn(n_truths * n_reps)
         for child in np.random.SeedSequence(cfg.seed).spawn(2))

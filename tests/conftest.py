@@ -4,7 +4,11 @@ import multiprocessing
 
 import pytest
 
-from betacircuits.circuit import NodeKind
+from betacircuits.betacalc import BetaLabel
+from betacircuits.circuit import (LabelTable, NodeKind, eval_queries,
+                                  set_condition)
+from betacircuits.compile import Theory, f_and, f_iff, f_not, f_or, f_var
+from betacircuits.examples import burglary_circuit
 
 
 @pytest.fixture(autouse=True)
@@ -73,3 +77,35 @@ def scopes(c):
         else:
             out.append(frozenset().union(*(out[ch] for ch in n.children)))
     return out
+
+
+def staged_burglary():
+    return set_condition(burglary_circuit(), query=1)
+
+
+def random_labels(rng, variables, lo=1.1, hi=20.0):
+    return LabelTable({v: BetaLabel(rng.uniform(lo, hi), rng.uniform(lo, hi))
+                       for v in variables})
+
+
+def random_theory(rng, nvars):
+    constraints = []
+    free = list(range(1, nvars + 1))
+    for _ in range(rng.randint(1, 3)):
+        if len(free) < 3:
+            break
+        head = free.pop(rng.randrange(len(free)))
+        body_vars = rng.sample([v for v in range(1, nvars + 1) if v != head],
+                               rng.randint(1, 3))
+        lits = [f_var(v) if rng.random() < 0.5 else f_not(f_var(v))
+                for v in body_vars]
+        body = f_and(*lits) if rng.random() < 0.5 else f_or(*lits)
+        constraints.append(f_iff(f_var(head), body))
+    return Theory(nvars, tuple(constraints))
+
+
+def sweep(c, spec, labels, queries=()):
+    """``eval_queries`` in ``spec``: (evidence, {query: joint})."""
+    return eval_queries(c, queries, spec.zero, spec.one, spec.plus,
+                        spec.times,
+                        lambda lit: spec.from_label(labels.label_of(lit)))

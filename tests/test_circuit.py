@@ -11,9 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import scopes, truth_value
-from test_cpb import random_labels, random_theory
-from test_semirings import sweep
+from conftest import (random_labels, random_theory, scopes, sweep,
+                      truth_value)
 
 from betacircuits import circuit as circuit_module
 from betacircuits.betacalc import BetaLabel

@@ -473,8 +473,8 @@ class TestInfer:
 
 
 #: A valid cell that runs in well under a second.
-FAST_BURGLARY = {"model": "burglary", "n_ins": 10, "backends": ["cpb"],
-                 "fast": True, "golden_samples": 0}
+FAST_BURGLARY = {"model": "burglary", "n_ins": 10, "truth_draws": 30,
+                 "repetitions": 5, "backends": ["cpb"], "golden_samples": 0}
 
 
 class TestExperiment:
@@ -489,6 +489,20 @@ class TestExperiment:
         assert rc == 0
         assert {p.name for p in out.iterdir()} == {
             "rmse.csv", "calibration.csv", "correlation.csv", "timing.csv"}
+
+    def test_shared_annotations_cell(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            **FAST_BURGLARY, "model": "smokers",
+            "model_options": {"shared_annotations": True}}))
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "experiment", "--config", config,
+                         "--out", out)
+        assert rc == 0 and err == ""
+        header, row = (out / "rmse.csv").read_text().splitlines()
+        assert header.startswith("backend,n_ins,trials,failures,")
+        trials, failures = map(int, row.split(",")[2:4])
+        assert trials + failures == 30 * 5 * 7
 
     def test_invalid_circuit_file_exit_code(self, tmp_path, capsys):
         # An OR over two literals that can both hold: not deterministic.
@@ -520,7 +534,8 @@ class TestExperiment:
         ({"model": "net1", "seed": "x"}, "seed must be an integer"),
         ({"model": "net1", "backends": 5}, "malformed experiment config"),
         (["net1"], "must be a JSON object"),
-        ({"model": "net1", "model_options": {"bogus": 1}, "fast": True},
+        ({"model": "net1", "model_options": {"bogus": 1}, "truth_draws": 30,
+          "repetitions": 5},
          "model 'net1' has no option 'bogus'"),
         # Unchecked, -6 x -6 passes the 30-trial check and writes NaN CSVs,
         # a negative golden_samples reads as 0, a repeated backend counts
@@ -544,8 +559,8 @@ class TestExperiment:
         ({**FAST_BURGLARY, "gammas": [0.5, 1.0]},
          "gammas must be one or more values in (0, 1)"),
         # A JSON boolean is a Python int: unchecked, "n_ins": true ran with
-        # 1 observation and "seed": false with seed 0.  And the strings
-        # "false" and "no" read as true for fast and shared_annotations.
+        # 1 observation and "seed": false with seed 0.  And the string
+        # "no" read as true for shared_annotations.
         ({**FAST_BURGLARY, "n_ins": True}, "n_ins must be an integer"),
         ({**FAST_BURGLARY, "truth_draws": True},
          "truth_draws must be an integer"),
@@ -554,9 +569,12 @@ class TestExperiment:
         ({**FAST_BURGLARY, "seed": False}, "seed must be an integer"),
         ({**FAST_BURGLARY, "golden_samples": False},
          "golden_samples must be an integer"),
-        ({**FAST_BURGLARY, "fast": "false"}, "fast must be true or false"),
+        # truth_draws x repetitions is the trial shape; no key caps it.
+        ({**FAST_BURGLARY, "fast": "false"},
+         "unknown experiment config keys ['fast']"),
         ({"model": "smokers", "model_options": {"shared_annotations": "no"},
-          "fast": True, "golden_samples": 0}, "must be a bool"),
+          "truth_draws": 30, "repetitions": 5, "golden_samples": 0},
+         "must be a bool"),
         # Unchecked, these three reached a traceback.
         ({**FAST_BURGLARY, "backends": [5]}, "unknown backend 5"),
         ({"circuit_file": 5, "query_vars": [1]},

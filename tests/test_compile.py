@@ -14,8 +14,7 @@ from betacircuits.compile import (
     f_and, f_iff, f_not, f_or, f_var, shannon_compile, substitute, vars_of)
 from betacircuits.semirings import prob_semiring
 
-from conftest import truth_value
-from test_semirings import sweep
+from conftest import sweep, truth_value
 
 
 def prob_of(c, labels):

@@ -11,8 +11,7 @@ from betacircuits.betacalc import BetaLabel
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
                                   parse_nnf, set_condition)
 from betacircuits import circuit
-from betacircuits.compile import (Theory, f_and, f_iff, f_not, f_or, f_var,
-                                  shannon_compile)
+from betacircuits.compile import shannon_compile
 from betacircuits.cpb import (LeafCovariance, eval_cov, eval_cov_queries,
                               parse_leaf_cov, shadow_circuit)
 from betacircuits.examples import (BUILTIN_MODELS, burglary_circuit,
@@ -22,37 +21,13 @@ from betacircuits.semirings import (InconsistentEvidenceError,
                                     conditioned_eval_queries, mm_semiring,
                                     prob_semiring, sl_semiring)
 
+from conftest import random_labels, random_theory, staged_burglary
 from dense_reference import conditioned_moments, moment_sweep, shadow_ids
 
 # Frozen oracle values for the burglary query (derived from independent
 # hand arithmetic, enumeration, and the point-probability backend).
 BURGLARY_MEAN = 0.3571428571428571          # = 5/14
 BURGLARY_VAR = 0.04705831444690252          # first-order delta method
-
-
-def staged_burglary():
-    return set_condition(burglary_circuit(), query=1)
-
-
-def random_labels(rng, variables, lo=1.1, hi=20.0):
-    return LabelTable({v: BetaLabel(rng.uniform(lo, hi), rng.uniform(lo, hi))
-                       for v in variables})
-
-
-def random_theory(rng, nvars):
-    constraints = []
-    free = list(range(1, nvars + 1))
-    for _ in range(rng.randint(1, 3)):
-        if len(free) < 3:
-            break
-        head = free.pop(rng.randrange(len(free)))
-        body_vars = rng.sample([v for v in range(1, nvars + 1) if v != head],
-                               rng.randint(1, 3))
-        lits = [f_var(v) if rng.random() < 0.5 else f_not(f_var(v))
-                for v in body_vars]
-        body = f_and(*lits) if rng.random() < 0.5 else f_or(*lits)
-        constraints.append(f_iff(f_var(head), body))
-    return Theory(nvars, tuple(constraints))
 
 
 class TestLeafCovariance:

@@ -63,11 +63,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_ins"):
             ExperimentConfig(model="burglary", n_ins=0)
 
-    def test_fast_mode_caps_shape(self):
-        cfg = ExperimentConfig(model="burglary", truth_draws=100,
-                               repetitions=10, fast=True)
-        assert cfg.trial_shape == (30, 5)
-        assert small_config().trial_shape == (8, 4)
+    def test_fast_is_an_unknown_key(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("unknown experiment config keys "
+                                           "['fast']")):
+            ExperimentConfig.from_json(json.dumps({"model": "burglary",
+                                                   "fast": True}))
 
     def test_from_json(self):
         cfg = ExperimentConfig.from_json(json.dumps({
@@ -222,12 +223,33 @@ class TestRun:
             return aggregate(name, recs, fails, gammas)
 
         monkeypatch.setattr(harness, "_aggregate", capture)
-        run_experiment(ExperimentConfig(model="smokers", fast=True, seed=1,
+        run_experiment(ExperimentConfig(model="smokers", truth_draws=30,
+                                        repetitions=5, seed=1,
                                         backends=("cpb", "mm"),
                                         golden_samples=0))
         cpb, mm = captured["cpb"], captured["mm"]
         assert len(cpb) == len(mm) == 30 * 5 * 7
         assert [r.mean for r in mm] == [r.mean for r in cpb]
+
+    def test_tied_groups_draw_one_truth_and_fit_one_label(self):
+        # Each tied group's members share one drawn truth, and in every
+        # label set one label fitted from the members' pooled counts.
+        cfg = ExperimentConfig(model="smokers", n_ins=20, truth_draws=6,
+                               repetitions=5,
+                               model_options={"shared_annotations": True})
+        model = harness._resolve_model(cfg)
+        assert [len(g) for g in model.tied_groups] == [9, 4]
+        draws = harness._truth_draws(cfg, model)
+        assert [len(d.label_sets) for d in draws] == [5] * 6
+        for draw in draws:
+            for group in model.tied_groups:
+                assert len({draw.truth[v] for v in group}) == 1
+                for labels, _, _ in draw.label_sets:
+                    pooled = {(labels.label_of(v).alpha_pos,
+                               labels.label_of(v).alpha_neg) for v in group}
+                    assert len(pooled) == 1
+                    a, b = pooled.pop()
+                    assert a + b == len(group) * cfg.n_ins + 2
 
     def test_arithmetic_error_counts_as_failed_trial(self, monkeypatch):
         fail_some_label_sets(monkeypatch)
@@ -324,7 +346,7 @@ class TestWorkers:
                     out = metric_csvs(cfg, tmp_path / tag / str(cpus))
                     assert out == expected, (tag, cpus)
         # One worker per CPU, at most one per truth draw.
-        assert pools == [min(cfg.trial_shape[0], cpus)
+        assert pools == [min(cfg.truth_draws, cpus)
                          for cfg in cells.values() for cpus in (2, 3, 7)]
 
     @pytest.mark.skipif(not harness._FORK, reason="needs the fork start method")

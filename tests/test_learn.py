@@ -3,28 +3,34 @@
 import numpy as np
 import pytest
 
-from betacircuits.learn import Dataset, fit_complete, sample_observations
+from betacircuits.learn import fit_complete, sample_observations
 
 
 def make_dataset(columns):
-    """Build a dataset from per-variable boolean columns."""
-    rows = tuple(zip(*columns))
-    return Dataset(len(columns), tuple(tuple(r) for r in rows))
-
-
-class TestDataset:
-    def test_counts(self):
-        d = make_dataset([[True, True, False], [False, False, False]])
-        assert d.counts(0) == (2, 1)
-        assert d.counts(1) == (0, 3)
-        assert len(d) == 3
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError, match="row 1"):
-            Dataset(2, ((True, False), (True,)))
+    """Build a rows x variables matrix from per-variable boolean columns."""
+    return np.array(columns, dtype=bool).T
 
 
 class TestFitComplete:
+    def test_counts_each_column(self):
+        d = make_dataset([[True, True, False], [False, False, False]])
+        table, _ = fit_complete(d)
+        assert (table.label_of(1).alpha_pos,
+                table.label_of(1).alpha_neg) == (3.0, 2.0)
+        assert (table.label_of(2).alpha_pos,
+                table.label_of(2).alpha_neg) == (1.0, 4.0)
+
+    @pytest.mark.parametrize("data", [
+        np.zeros(3, dtype=bool), np.zeros((2, 2, 2), dtype=bool),
+        np.ones((2, 2), dtype=int)], ids=["1-d", "3-d", "not-boolean"])
+    def test_non_2d_rejected(self, data):
+        with pytest.raises(ValueError, match="2-D boolean array"):
+            fit_complete(data)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError):
+            fit_complete([[True, False], [True]])
+
     def test_posterior_counts(self):
         # 1 positive + 17 negatives with the uniform prior -> Beta(2, 18).
         d = make_dataset([[True] + [False] * 17])
@@ -35,7 +41,7 @@ class TestFitComplete:
         assert cov.cross_entries == {}
 
     def test_prior_only(self):
-        table, _ = fit_complete(Dataset(1, ()))
+        table, _ = fit_complete(np.zeros((0, 1), dtype=bool))
         lab = table.label_of(1)
         assert lab.alpha_pos == pytest.approx(1.0)
         assert lab.alpha_neg == pytest.approx(1.0)
@@ -66,7 +72,8 @@ class TestSampling:
     def test_deterministic_for_seed(self):
         d1, v1 = sample_observations({3: 0.4, 5: 0.8}, 50, rng=123)
         d2, v2 = sample_observations({3: 0.4, 5: 0.8}, 50, rng=123)
-        assert d1 == d2
+        assert d1.dtype == bool and d1.shape == (50, 2)
+        assert np.array_equal(d1, d2)
         assert v1 == v2 == [3, 5]
 
     def test_extreme_probabilities_rejected(self):
@@ -82,5 +89,4 @@ class TestSampling:
 
     def test_empirical_rate_matches(self):
         d, _ = sample_observations({1: 0.2}, 20000, rng=11)
-        r, s = d.counts(0)
-        assert r / (r + s) == pytest.approx(0.2, abs=0.02)
+        assert d[:, 0].mean() == pytest.approx(0.2, abs=0.02)

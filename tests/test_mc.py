@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_cpb import random_theory
+from conftest import random_theory
 
 from betacircuits.betacalc import BetaLabel, Moments, QueryResult, moment_match
 from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,

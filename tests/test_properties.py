@@ -4,7 +4,10 @@ hypothesis draws decision trees over at most five variables, given as
 NNF, and random theories compiled by ``shannon_compile``, with beta
 labels, one evidence literal and a query.  Each answer is checked against
 brute-force enumeration in exact rationals, against the dense covariance
-reference, or against the answer to the negated query.  The profile is
+reference, or against the answer to the negated query.  Two more
+properties check the circuit itself: ``format_nnf`` then ``parse_nnf``
+gives its nodes back, and a query variable whose only leaf feeds nothing
+raises ``CircuitError`` on cpb, ``prob`` and Monte Carlo.  The profile is
 derandomized and keeps no example database, so every run draws the same
 examples.
 
@@ -29,11 +32,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betacircuits.betacalc import BetaLabel
-from betacircuits.circuit import (LabelTable, format_nnf, parse_nnf,
-                                  set_condition)
+from betacircuits.circuit import (CircuitError, LabelTable, format_nnf,
+                                  parse_nnf, set_condition)
 from betacircuits.compile import (Theory, eval_formula, f_and, f_iff, f_not,
                                   f_or, f_var, shannon_compile, vars_of)
 from betacircuits.cpb import eval_cov_queries, shadow_circuit
+from betacircuits.mc import mc_eval_queries
 from betacircuits.semirings import conditioned_eval_queries, prob_semiring
 
 from dense_reference import conditioned_moments
@@ -153,6 +157,24 @@ def theory_cases(draw) -> Case:
                 (ev_var, ev_val), query)
 
 
+def with_dangling_leaf(nnf: str) -> tuple[str, int]:
+    """``nnf`` with a leaf of one new variable, first, that feeds nothing.
+
+    Returns the text and the new variable.  The other nodes keep their
+    order, each child id moved up by one.
+    """
+    header, *lines = nnf.splitlines()
+    _, nodes, edges, n = header.split()
+    var = int(n) + 1
+    out = [f"nnf {int(nodes) + 1} {edges} {var}", f"L {var}"]
+    for line in lines:
+        tag, *nums = line.split()
+        head = {"L": len(nums), "A": 1, "O": 2}[tag]
+        out.append(" ".join([tag, *nums[:head],
+                             *(str(int(i) + 1) for i in nums[head:])]))
+    return "\n".join(out) + "\n", var
+
+
 def staged(case: Case):
     return set_condition(parse_nnf(case.nnf), case.query, [case.evidence])
 
@@ -237,3 +259,33 @@ def test_a_query_and_its_negation_sum_to_one(case):
     assert abs(cpb[q].mean + cpb[-q].mean - 1.0) <= 1e-12
     assert abs(cpb[q].variance - cpb[-q].variance) <= (
         1e-12 * cpb[q].variance)
+
+
+@PROFILE
+@given(any_case)
+def test_nnf_round_trip_gives_the_nodes_back(case):
+    c = parse_nnf(case.nnf)
+    back = parse_nnf(format_nnf(c))
+    assert (back.nodes, back.root, back.var_count) == (
+        c.nodes, c.root, c.var_count)
+
+
+# A tree's query has a leaf on the root (a compiled theory can be FALSE),
+# so only the dangling leaf's variable is off the root.
+@PROFILE
+@given(tree_cases(smooth=False))
+def test_a_query_with_no_leaf_on_the_root_raises(case):
+    nnf, off_root = with_dangling_leaf(case.nnf)
+    c = parse_nnf(nnf)
+    assert off_root not in c.variables()
+    with pytest.raises(CircuitError, match=f"variable {off_root} "):
+        set_condition(c, off_root, [case.evidence])
+    c = set_condition(c, None, [case.evidence])
+    labels = case.labels()
+    for queries in ((off_root,), (case.query, -off_root)):
+        with pytest.raises(CircuitError, match=f"variable {off_root} "):
+            eval_cov_queries(c, queries, labels)
+        with pytest.raises(CircuitError, match=f"variable {off_root} "):
+            conditioned_eval_queries(c, prob_semiring(), labels, queries)
+        with pytest.raises(CircuitError, match=f"variable {off_root} "):
+            mc_eval_queries(c, queries, labels, 10, seed=0)

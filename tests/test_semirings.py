@@ -5,23 +5,17 @@ import random
 import pytest
 
 from betacircuits.betacalc import BetaLabel, Moments, Opinion
-from betacircuits.circuit import (LabelTable, eval_queries, parse_nnf,
-                                  set_condition)
+from betacircuits.circuit import LabelTable, parse_nnf, set_condition
 from betacircuits.semirings import (
     InconsistentEvidenceError, MM_ONE, MM_ZERO, SL_ONE, SL_ZERO,
     VACUOUS_OPINION, conditioned_eval, mm_semiring, prob_semiring,
     sl_semiring)
 from betacircuits.examples import burglary_circuit, burglary_labels
 
+from conftest import sweep
+
 
 STAGED = set_condition(burglary_circuit(), query=1)
-
-
-def sweep(c, spec, labels, queries=()):
-    """``eval_queries`` in ``spec``: (evidence, {query: joint})."""
-    return eval_queries(c, queries, spec.zero, spec.one, spec.plus,
-                        spec.times,
-                        lambda lit: spec.from_label(labels.label_of(lit)))
 
 
 class TestIdentities:
