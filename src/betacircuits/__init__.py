@@ -13,8 +13,7 @@ from .betacalc import (BetaLabel, Moments, Opinion, QueryResult, from_opinion,
                        sl_division, sl_product, sl_sum, to_opinion)
 from .circuit import (Circuit, CircuitError, CircuitNode, LabelTable, NodeKind,
                       format_nnf, parse_nnf, set_condition, validate)
-from .cpb import (LeafCovariance, ShadowedCircuit, eval_cov, eval_cov_queries,
-                  shadow_circuit)
+from .cpb import ShadowedCircuit, eval_cov, eval_cov_queries, shadow_circuit
 from .learn import fit_complete, sample_observations
 from .mc import MCResult, mc_eval, mc_eval_queries, mc_strength
 from .semirings import (InconsistentEvidenceError, SemiringSpec,
@@ -27,8 +26,7 @@ __all__ = [
     "sl_product", "sl_sum", "to_opinion",
     "Circuit", "CircuitError", "CircuitNode", "LabelTable", "NodeKind",
     "format_nnf", "parse_nnf", "set_condition", "validate",
-    "LeafCovariance", "ShadowedCircuit", "eval_cov", "eval_cov_queries",
-    "shadow_circuit",
+    "ShadowedCircuit", "eval_cov", "eval_cov_queries", "shadow_circuit",
     "fit_complete", "sample_observations",
     "MCResult", "mc_eval", "mc_eval_queries", "mc_strength",
     "InconsistentEvidenceError", "SemiringSpec", "conditioned_eval",

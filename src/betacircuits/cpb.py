@@ -16,17 +16,18 @@ first-order (delta-method) moments are
     cov[X, Y] = g_X' S g_Y,
 
 where g_X is the gradient of X with respect to theta at the means and S
-is the leaf covariance: the label variances on the diagonal and the
-explicit cross-variable entries off it.  Each gradient takes a forward
-pass (node means) and a reverse pass (adjoints), so it costs O(n) time
-and memory (Darwiche, "A differential approach to inference in Bayesian
-networks", JACM 2003).  The forward pass is one run of
-``Circuit.schedule``'s lockstep pass, the one bottom-up fold behind every
-backend, with sums and products of floats and every node mean kept: Y's
-means come from its evidence sweep, and each query's X recomputes only
-the ancestors of its negated leaves.  The reverse pass is
-the schedule's ``adjoints``, one sweep from each root, which forms each
-gate's child weights dn/dc once per call from the means.  The rules are:
+is the covariance of theta: the label variances on the diagonal and one
+entry per pair of variables off it (a negative literal carries 1 - theta,
+which flips a sign).  Each gradient takes a forward pass (node means)
+and a reverse pass (adjoints), so it costs O(n) time and memory
+(Darwiche, "A differential approach to inference in Bayesian networks",
+JACM 2003).  The forward pass is one run of ``Circuit.schedule``'s
+lockstep pass, the one bottom-up fold behind every backend, with sums
+and products of floats and every node mean kept: Y's means come from its
+evidence sweep, and each query's X recomputes only the ancestors of its
+negated leaves.  The reverse pass is the schedule's ``adjoints``, one
+sweep from each root, which forms each gate's child weights dn/dc once
+per call from the means.  The rules are:
 
 * OR gates (children mutually exclusive, so the sum is literal):
   E[n] = sum_c E[c], folded in file order, with weight dn/dc = 1.
@@ -63,7 +64,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import betacalc
 from .betacalc import Moments, QueryResult
@@ -76,58 +77,14 @@ from .semirings import InconsistentEvidenceError
 # Leaf covariance
 # ---------------------------------------------------------------------
 
-class LeafCovariance:
-    """Covariance structure over leaf literals.
+def parse_leaf_cov(text: str) -> dict[tuple[int, int], float]:
+    """Parse triplet lines ``lit_i lit_j cov``, one per pair of variables.
 
-    The diagonal blocks are always implied by the labels: a literal with
-    itself has its label variance, and a literal with its complement has
-    the negated variance (they are the same random variable, flipped).
-    Cross-variable entries default to 0 (independent leaves) and can be
-    supplied explicitly as (literal, literal, covariance) triplets; the
-    complement-flip rule extends each supplied entry to the other three
-    sign combinations.
+    Returns cov[theta_i, theta_j] keyed by the variable pair (i, j) with
+    i < j.  A negative literal carries 1 - theta, so each one on a line
+    flips the sign of that line's value.
     """
-
-    def __init__(self, entries: Optional[dict[tuple[int, int], float]] = None):
-        self._entries: dict[tuple[int, int], float] = {}
-        for (li, lj), v in (entries or {}).items():
-            self.set(li, lj, v)
-
-    def set(self, lit_i: int, lit_j: int, value: float) -> None:
-        if not (lit_i and lit_j):
-            raise ValueError("0 is not a literal")
-        if abs(lit_i) == abs(lit_j):
-            raise ValueError(
-                "diagonal blocks are implied by the labels; "
-                f"cannot set cov[{lit_i},{lit_j}]")
-        key, sign = self._normalize(lit_i, lit_j)
-        self._entries[key] = sign * value
-
-    @staticmethod
-    def _normalize(lit_i: int, lit_j: int) -> tuple[tuple[int, int], float]:
-        sign = (1.0 if lit_i > 0 else -1.0) * (1.0 if lit_j > 0 else -1.0)
-        vi, vj = abs(lit_i), abs(lit_j)
-        if vi > vj:
-            vi, vj = vj, vi
-        return (vi, vj), sign
-
-    def lookup(self, labels: LabelTable, lit_i: int, lit_j: int) -> float:
-        if lit_i == lit_j:
-            return labels.variance_of(lit_i)
-        if lit_i == -lit_j:
-            return -labels.variance_of(lit_i)
-        key, sign = self._normalize(lit_i, lit_j)
-        return sign * self._entries.get(key, 0.0)
-
-    @property
-    def cross_entries(self) -> dict[tuple[int, int], float]:
-        return dict(self._entries)
-
-
-def parse_leaf_cov(text: str) -> LeafCovariance:
-    """Parse triplet lines ``lit_i lit_j cov``, one per pair of variables."""
-    cov = LeafCovariance()
-    pairs: set[frozenset[int]] = set()
+    cov: dict[tuple[int, int], float] = {}
 
     def line(toks: list[str]) -> None:
         if len(toks) != 3:
@@ -136,11 +93,16 @@ def parse_leaf_cov(text: str) -> LeafCovariance:
         if not math.isfinite(value):
             raise ValueError(f"non-finite covariance {toks[2]}")
         lit_i, lit_j = int(toks[0]), int(toks[1])
-        pair = frozenset((abs(lit_i), abs(lit_j)))
-        if pair in pairs:
-            raise ValueError(f"second line for variables {sorted(pair)}")
-        cov.set(lit_i, lit_j, value)
-        pairs.add(pair)
+        i, j = sorted((abs(lit_i), abs(lit_j)))
+        if (i, j) in cov:
+            raise ValueError(f"second line for variables {[i, j]}")
+        if not i:
+            raise ValueError("0 is not a literal")
+        if i == j:
+            raise ValueError(
+                "diagonal blocks are implied by the labels; "
+                f"cannot set cov[{lit_i},{lit_j}]")
+        cov[i, j] = value if (lit_i > 0) == (lit_j > 0) else -value
 
     _read_lines(text, "leaf covariance", line)
     return cov
@@ -175,7 +137,7 @@ def shadow_circuit(c: Circuit) -> ShadowedCircuit:
 # ---------------------------------------------------------------------
 
 def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
-                     leaf_cov: Optional[LeafCovariance] = None
+                     leaf_cov: Optional[Mapping[tuple[int, int], float]] = None
                      ) -> dict[int, QueryResult]:
     """Conditioned mean and first-order variance of several queries.
 
@@ -187,15 +149,24 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
     of Y and of each X, and its ``adjoints`` g_Y and each g_X.  With
     mu = E[X]/E[Y], the ratio gradient is rho = (g_X - mu g_Y)/E[Y] and
     the variance is rho' S rho, where S holds the label variances on its
-    diagonal and ``leaf_cov``'s cross entries off it (default: independent
-    leaves); an entry past sqrt(var_i var_j), a correlation outside
-    [-1, 1], raises ValueError.  O(n) time and memory per query.  An error
-    of the evidence (E[Y] zero or subnormal) raises before any query is
-    answered.
+    diagonal and ``leaf_cov``'s entries off it: cov[theta_i, theta_j]
+    keyed by (i, j) with 0 < i < j, as ``parse_leaf_cov`` returns them
+    (default: independent leaves).  Any other key, a non-finite value or
+    an entry past sqrt(var_i var_j), a correlation outside [-1, 1],
+    raises ValueError.  O(n) time and memory per query.  An error of the
+    evidence (E[Y] zero or subnormal) raises before any query is answered.
     """
     queries = query_literals(c, queries)
-    cross = leaf_cov.cross_entries if leaf_cov is not None else {}
-    for (i, j), cij in cross.items():
+    cross = leaf_cov or {}
+    for pair, cij in cross.items():
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and 0 < pair[0] < pair[1]):
+            raise ValueError(f"covariance key {pair!r} is not a pair (i, j) "
+                             "of variables with 0 < i < j")
+        i, j = pair
+        if not math.isfinite(cij):
+            raise ValueError(f"non-finite covariance {cij!r} of variables "
+                             f"{i} and {j}")
         limit = math.sqrt(labels.variance_of(i) * labels.variance_of(j))
         if abs(cij) > limit:
             raise ValueError(f"covariance {cij!r} of variables {i} and {j} "
@@ -238,7 +209,8 @@ def eval_cov_queries(c: Circuit, queries: Iterable[int], labels: LabelTable,
 
 
 def eval_cov(sc: ShadowedCircuit, labels: LabelTable,
-             leaf_cov: Optional[LeafCovariance] = None) -> QueryResult:
+             leaf_cov: Optional[Mapping[tuple[int, int], float]] = None
+             ) -> QueryResult:
     """Conditioned mean and first-order variance of the staged query.
 
     Only ``sc.circuit`` is read: this is ``eval_cov_queries`` on its staged

@@ -6,8 +6,8 @@ observations and a Beta(W a, W (1 - a)) prior, the posterior is
 Beta(r + W a, s + W (1 - a)).  Because every row of a complete matrix
 assigns every variable, the per-variable likelihoods factorize and the
 posteriors stay independent of each other -- which is why the emitted leaf
-covariance carries no cross-variable entries (the within-variable block
-cov[v, not v] = -var[v] is implied by the labels themselves).
+covariance, a mapping of variable pairs as ``cpb.parse_leaf_cov`` returns
+one, is empty (each variable's own variance is in its label).
 Both functions import numpy when called, not with the module.
 """
 
@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .betacalc import DEFAULT_BASE_RATE, DEFAULT_PRIOR_WEIGHT, BetaLabel
 from .circuit import LabelTable
-from .cpb import LeafCovariance
 
 if TYPE_CHECKING:
     import numpy as np
@@ -26,7 +25,7 @@ if TYPE_CHECKING:
 def fit_complete(data: np.ndarray,
                  variables: Optional[Sequence[int]] = None,
                  tied_groups: Sequence[Sequence[int]] = (),
-                 ) -> tuple[LabelTable, LeafCovariance]:
+                 ) -> tuple[LabelTable, dict[tuple[int, int], float]]:
     """Posterior labels for each column of a complete boolean matrix.
 
     ``data`` is a rows x columns boolean array (or anything
@@ -36,8 +35,9 @@ def fit_complete(data: np.ndarray,
     lists variable groups that share one parameter: their counts are
     pooled and every member receives the pooled posterior.
 
-    The returned leaf covariance has no cross-variable entries: complete
-    observations keep the posteriors independent.
+    Returns the labels and the leaf covariance ``{}``: complete
+    observations keep the posteriors independent, so no pair of variables
+    has an entry.
     """
     import numpy as np
 
@@ -60,7 +60,7 @@ def fit_complete(data: np.ndarray,
         pooled = _posterior(r, len(group) * n_rows - r)
         for v in group:
             table.set(v, pooled)
-    return table, LeafCovariance()
+    return table, {}
 
 
 def _posterior(r: int, s: int) -> BetaLabel:

@@ -22,12 +22,12 @@ algebra from the ratio gradient that ``cpb.eval_cov`` uses.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from betacircuits.circuit import CircuitNode, LabelTable, NodeKind
-from betacircuits.cpb import LeafCovariance, ShadowedCircuit
+from betacircuits.cpb import ShadowedCircuit
 from betacircuits.semirings import InconsistentEvidenceError
 
 
@@ -57,19 +57,20 @@ def shadow_ids(sc: ShadowedCircuit) -> dict[int, int]:
 
 
 def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
-                 leaf_cov: Optional[LeafCovariance] = None
+                 leaf_cov: Optional[Mapping[tuple[int, int], float]] = None
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Means and full covariance matrix over all base and shadow nodes.
 
     Row/column i of the covariance matrix belongs to node id i (shadow ids
-    start at ``len(sc.circuit)``).  ``leaf_cov`` defaults to independent
-    leaves (block-diagonal pattern with cov[v, not v] = -var[v] inside each
-    variable's block).  All leaf covariances are filled in first; then the
-    base gates and the shadow gates are swept in id order, which is
-    topological for both.  Costs O(n^2) memory and time.
+    start at ``len(sc.circuit)``).  ``leaf_cov`` maps a variable pair
+    (i, j), i < j, to cov[theta_i, theta_j]; it defaults to independent
+    leaves.  Two leaves of one variable take its label variance, and two
+    of a pair in ``leaf_cov`` that pair's entry, each negated once per
+    negative literal (its leaf carries 1 - theta): so inside a variable's
+    block cov[v, not v] = -var[v].  All leaf covariances are filled in
+    first; then the base gates and the shadow gates are swept in id order,
+    which is topological for both.  Costs O(n^2) memory and time.
     """
-    if leaf_cov is None:
-        leaf_cov = LeafCovariance()
     c = sc.circuit
     n = sc.n_total
     means = np.zeros(n)
@@ -82,11 +83,13 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
         elif node.kind is NodeKind.LITERAL and node.literal not in c.zeroed:
             means[node.id] = labels.mean_of(node.literal)
             by_var.setdefault(node.var, []).append(node)
-    for vi, vj in [(v, v) for v in by_var] + list(leaf_cov.cross_entries):
+    blocks = [(v, v, labels.variance_of(v)) for v in by_var]
+    blocks += [(vi, vj, cij) for (vi, vj), cij in (leaf_cov or {}).items()]
+    for vi, vj, value in blocks:
         for a in by_var.get(vi, ()):
             for b in by_var.get(vj, ()):
-                cov[a.id, b.id] = cov[b.id, a.id] = leaf_cov.lookup(
-                    labels, a.literal, b.literal)
+                sign = 1.0 if (a.literal > 0) == (b.literal > 0) else -1.0
+                cov[a.id, b.id] = cov[b.id, a.id] = sign * value
 
     # The shadow copy of node b is node shadow[b], and
     # a shadow gate reads the shadow copy of each child that has one.  The
@@ -118,7 +121,8 @@ def moment_sweep(sc: ShadowedCircuit, labels: LabelTable,
 
 
 def conditioned_moments(sc: ShadowedCircuit, labels: LabelTable,
-                        leaf_cov: Optional[LeafCovariance] = None
+                        leaf_cov: Optional[Mapping[tuple[int, int],
+                                                   float]] = None
                         ) -> tuple[float, float]:
     """Mean and first-order variance of X/Y from the dense matrix.
 

@@ -23,8 +23,8 @@ from betacircuits.circuit import (
 from betacircuits.compile import Theory, f_iff, f_not, f_var, shannon_compile
 from betacircuits.cpb import (eval_cov, eval_cov_queries, parse_leaf_cov,
                               shadow_circuit)
-from betacircuits.examples import (BUILTIN_MODELS, BURGLARY_NNF,
-                                   burglary_circuit, burglary_labels)
+from betacircuits.examples import (BUILTIN_MODELS, burglary_circuit,
+                                   burglary_labels)
 from betacircuits.mc import mc_eval
 from betacircuits.semirings import (InconsistentEvidenceError,
                                     conditioned_eval,

@@ -12,8 +12,8 @@ from betacircuits.circuit import (CircuitError, LabelTable, NodeKind,
                                   parse_nnf, set_condition)
 from betacircuits import circuit
 from betacircuits.compile import shannon_compile
-from betacircuits.cpb import (LeafCovariance, eval_cov, eval_cov_queries,
-                              parse_leaf_cov, shadow_circuit)
+from betacircuits.cpb import (eval_cov, eval_cov_queries, parse_leaf_cov,
+                              shadow_circuit)
 from betacircuits.examples import (BUILTIN_MODELS, burglary_circuit,
                                    burglary_labels)
 from betacircuits.semirings import (InconsistentEvidenceError,
@@ -31,31 +31,10 @@ BURGLARY_VAR = 0.04705831444690252          # first-order delta method
 
 
 class TestLeafCovariance:
-    def test_diagonal_implied_by_labels(self):
-        labels = LabelTable({1: BetaLabel(2, 18)})
-        cov = LeafCovariance()
-        v = labels.variance_of(1)
-        assert cov.lookup(labels, 1, 1) == pytest.approx(v)
-        assert cov.lookup(labels, 1, -1) == pytest.approx(-v)
-        assert cov.lookup(labels, -1, -1) == pytest.approx(v)
-
-    def test_cross_entries_and_sign_folding(self):
-        labels = LabelTable({1: BetaLabel(2, 2), 2: BetaLabel(2, 2)})
-        cov = LeafCovariance({(1, 2): 0.01})
-        assert cov.lookup(labels, 1, 2) == 0.01
-        assert cov.lookup(labels, 2, 1) == 0.01
-        assert cov.lookup(labels, -1, 2) == -0.01
-        assert cov.lookup(labels, -1, -2) == 0.01
-        assert cov.lookup(labels, 1, 3) == 0.0
-
-    def test_same_variable_entry_rejected(self):
-        with pytest.raises(ValueError, match="implied"):
-            LeafCovariance({(1, -1): 0.5})
-
     def test_file_round_trip(self):
-        cov = LeafCovariance({(1, 2): 0.01, (-3, 4): 0.002})
+        # A negative literal carries 1 - theta: each one flips the sign.
         back = parse_leaf_cov("# cross entries\n1 2 0.01\n\n-3 4 0.002\n")
-        assert back.cross_entries == cov.cross_entries
+        assert back == {(1, 2): 0.01, (3, 4): -0.002}
 
     def test_parse_errors(self):
         with pytest.raises(CircuitError, match="line 1"):
@@ -70,14 +49,25 @@ class TestLeafCovariance:
         limit = math.sqrt(labels.variance_of(1) * labels.variance_of(2))
         c = burglary_circuit()
         for value in (limit, -limit):
-            eval_cov_queries(c, (1,), labels, LeafCovariance({(1, 2): value}))
+            eval_cov_queries(c, (1,), labels, {(1, 2): value})
         for entry, value, pair in (((1, 2), 1.001 * limit, "1 and 2"),
-                                   ((-2, 1), 1.001 * limit, "1 and 2"),
+                                   ((1, 2), -1.001 * limit, "1 and 2"),
                                    ((3, 9), 1e-12, "3 and 9")):
             with pytest.raises(ValueError, match=f"^covariance .* of "
                                f"variables {pair} exceeds sqrt"):
-                eval_cov_queries(c, (1,), labels,
-                                 LeafCovariance({entry: value}))
+                eval_cov_queries(c, (1,), labels, {entry: value})
+
+    @pytest.mark.parametrize("entry, value, message", [
+        ((2, 1), 1e-6, r"covariance key \(2, 1\) is not a pair"),
+        ((1, 1), 1e-6, r"covariance key \(1, 1\) is not a pair"),
+        ((-1, 2), 1e-6, r"covariance key \(-1, 2\) is not a pair"),
+        ((0, 2), 1e-6, r"covariance key \(0, 2\) is not a pair"),
+        ((1, 2), math.nan, "non-finite covariance nan of variables 1 and 2"),
+    ], ids=["reversed", "same-variable", "negative", "zero", "nan"])
+    def test_entry_not_a_variable_pair_rejected(self, entry, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            eval_cov_queries(burglary_circuit(), (1,), burglary_labels(),
+                             {entry: value})
 
     def test_second_line_for_a_pair_rejected(self):
         # Before, the last line for a pair of variables won.
@@ -290,7 +280,7 @@ class TestProperties:
         labels = LabelTable({1: BetaLabel(3, 3), 2: BetaLabel(4, 4)})
         sc = shadow_circuit(c)
         _, cov0 = moment_sweep(sc, labels)
-        _, cov1 = moment_sweep(sc, labels, LeafCovariance({(1, 2): 0.02}))
+        _, cov1 = moment_sweep(sc, labels, {(1, 2): 0.02})
         assert cov1[2, 2] > cov0[2, 2]
         expect_gain = 2 * 0.5 * 0.5 * 0.02   # 2 w1 w2 cov
         assert cov1[2, 2] - cov0[2, 2] == pytest.approx(expect_gain,
@@ -323,7 +313,7 @@ class TestManyQueries:
                                  for v in model.random_evidence_vars})
         labels = random_labels(rng, model.prob_vars)
         v1, v2 = model.prob_vars[:2]
-        cov = LeafCovariance({(v1, -v2): 1e-4})
+        cov = {(min(v1, v2), max(v1, v2)): -1e-4}
         ev = set_condition(circuit, None, model.prob_evidence)
         queries = model.query_vars + tuple(-q for q in model.query_vars)
         batch = eval_cov_queries(ev, queries, labels, cov)
@@ -398,7 +388,7 @@ class TestGradientMatchesDense:
         nnf = ("nnf 8 7 3\nL 1\nL 2\nL 3\nL -3\n"
                "A 2 0 1\nA 2 4 2\nA 2 4 3\nO 3 2 5 6\n")
         labels = random_labels(rng, (1, 2, 3))
-        cov = LeafCovariance({(1, 2): 0.005, (2, 3): -0.003})
+        cov = {(1, 2): 0.005, (2, 3): -0.003}
         # Query 1 has no negated leaf (the conditional is 1).
         assert_matches_dense(shadow_circuit(
             set_condition(parse_nnf(nnf), query=1)), labels, cov)
@@ -426,8 +416,7 @@ class TestGradientMatchesDense:
             rel=1e-12)
         for (i, j), cij in (((1, 2), 0.004), ((2, 3), -0.003),
                             ((1, 3), 0.002)):
-            res = assert_matches_dense(sc, labels,
-                                       LeafCovariance({(i, j): cij}))
+            res = assert_matches_dense(sc, labels, {(i, j): cij})
             assert not res.variance_clamped
             assert res.variance - base.variance == pytest.approx(
                 2 * cij * rho[i] * rho[j], rel=1e-12)

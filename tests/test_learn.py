@@ -38,7 +38,7 @@ class TestFitComplete:
         lab = table.label_of(1)
         assert lab.alpha_pos == pytest.approx(2.0)
         assert lab.alpha_neg == pytest.approx(18.0)
-        assert cov.cross_entries == {}
+        assert cov == {}
 
     def test_prior_only(self):
         table, _ = fit_complete(np.zeros((0, 1), dtype=bool))

@@ -4,7 +4,8 @@ hypothesis draws decision trees over at most five variables, given as
 NNF, and random theories compiled by ``shannon_compile``, with beta
 labels, one evidence literal and a query.  Each answer is checked against
 brute-force enumeration in exact rationals, against the dense covariance
-reference, or against the answer to the negated query.  Two more
+reference (with up to three drawn cross covariances), or against the
+answer to the negated query.  Two more
 properties check the circuit itself: ``format_nnf`` then ``parse_nnf``
 gives its nodes back, and a query variable whose only leaf feeds nothing
 raises ``CircuitError`` on cpb, ``prob`` and Monte Carlo.  The profile is
@@ -238,14 +239,34 @@ def test_prob_is_enumerated_on_unsmoothed_trees(case):
 
 
 @PROFILE
-@given(any_case)
-def test_cpb_mean_is_prob_and_variance_is_dense(case):
+@given(any_case, st.data())
+def test_cpb_mean_is_prob_and_variance_is_dense(case, data):
     assume(enumerated(case, case.query) is not None)
-    c, labels = staged(case), case.labels()
-    got = eval_cov_queries(c, (case.query,), labels)[case.query]
-    assert got.mean == prob_answers(case, (case.query,))[case.query]
-    _, variance = conditioned_moments(shadow_circuit(c), labels)
-    assert abs(got.variance - variance) <= 1e-12 * variance
+    c, labels, q = staged(case), case.labels(), case.query
+    # Up to three cross entries, each a correlation in [-1.25, 1.25].
+    pairs = list(itertools.combinations(range(1, len(case.alphas) + 1), 2))
+    corr = data.draw(st.dictionaries(st.sampled_from(pairs),
+                                     st.floats(-1.25, 1.25), max_size=3)
+                     if pairs else st.just({}))
+    leaf_cov = {(i, j): r * math.sqrt(labels.variance_of(i)
+                                      * labels.variance_of(j))
+                for (i, j), r in corr.items()}
+    past = [pair for pair, r in corr.items() if abs(r) > 1.0]
+    if past:
+        i, j = past[0]
+        with pytest.raises(ValueError,
+                           match=f"of variables {i} and {j} exceeds sqrt"):
+            eval_cov_queries(c, (q,), labels, leaf_cov)
+        leaf_cov = {pair: v for pair, v in leaf_cov.items()
+                    if pair not in past}
+    got = eval_cov_queries(c, (q,), labels, leaf_cov)[q]
+    assert got.mean == prob_answers(case, (q,))[q]
+    assert 0.0 <= got.variance <= got.mean * (1.0 - got.mean)
+    _, variance = conditioned_moments(shadow_circuit(c), labels, leaf_cov)
+    # The reference's three-term expansion cancels near a conditional of
+    # 1: at 0.994 it was 1.2e-12 (2e-16 absolute) off the exact first-order
+    # variance in rationals, where cpb was 4e-15 off.  Hence the floor.
+    assert abs(got.variance - variance) <= max(1e-12 * variance, 1e-15)
 
 
 @PROFILE
